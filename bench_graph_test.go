@@ -5,6 +5,7 @@
 package picasso_test
 
 import (
+	"context"
 	"testing"
 
 	"picasso"
@@ -21,7 +22,7 @@ func BenchmarkQueenEquitable(b *testing.B) {
 	opts := picasso.Normal(1)
 	opts.Variant = picasso.VariantEquitable
 	for i := 0; i < b.N; i++ {
-		res, err := picasso.Color(g, opts)
+		res, err := picasso.Run(context.Background(), g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 
 // BenchmarkRecovery captures the engine's shard-boundary checkpoint at
 // several depths of an n=20k d=0.5 streamed run (8 shards of 2500), then
-// measures ResumeStream from each — JSON decode included, since that is
+// measures a resume (Options.Resume) from each — JSON decode included, since that is
 // exactly what server recovery replays from a .ckpt sidecar — against the
 // from-scratch baseline. Resume cost should scale with the shards that
 // remain, not with the shards already paid for.
@@ -70,7 +70,9 @@ func BenchmarkRecovery(b *testing.B) {
 				if err := json.Unmarshal(blob, &st); err != nil {
 					b.Fatal(err)
 				}
-				res, err := picasso.ResumeStream(context.Background(), o, mkOpts(arena), &st)
+				opts := mkOpts(arena)
+				opts.Resume = &st
+				res, err := picasso.Run(context.Background(), o, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -245,7 +245,7 @@ func BenchmarkAblationAtomics(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := picasso.Normal(1)
 			opts.Workers = 0
-			if _, err := picasso.Color(o, opts); err != nil {
+			if _, err := picasso.Run(context.Background(), o, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -254,7 +254,7 @@ func BenchmarkAblationAtomics(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := picasso.Normal(1)
 			opts.Device = picasso.NewDevice("bench", 1<<32, 0)
-			if _, err := picasso.Color(o, opts); err != nil {
+			if _, err := picasso.Run(context.Background(), o, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -276,7 +276,7 @@ func BenchmarkConflictBuildBackends(b *testing.B) {
 				if be == "gpu" {
 					opts.Device = picasso.NewDevice("bench", 1<<33, 0)
 				}
-				res, err := picasso.Color(o, opts)
+				res, err := picasso.Run(context.Background(), o, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -301,7 +301,7 @@ func BenchmarkColorThroughput(b *testing.B) {
 	o := picasso.RandomGraph(2000, 0.5, 23)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := picasso.Color(o, picasso.Normal(int64(i))); err != nil {
+		if _, err := picasso.Run(context.Background(), o, picasso.Normal(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func BenchmarkColorThroughput(b *testing.B) {
 func BenchmarkSteadyStateRecolor(b *testing.B) {
 	o := picasso.RandomGraph(4000, 0.5, 9)
 	run := func(b *testing.B, opts picasso.Options) {
-		res, err := picasso.Color(o, opts) // warm-up (grows the arena, if any)
+		res, err := picasso.Run(context.Background(), o, opts) // warm-up (grows the arena, if any)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func BenchmarkSteadyStateRecolor(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := picasso.Color(o, opts); err != nil {
+			if _, err := picasso.Run(context.Background(), o, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,7 +351,7 @@ func BenchmarkPauliGrouping(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := picasso.ColorPauli(set, picasso.Normal(int64(i)))
+		res, err := picasso.Run(context.Background(), picasso.NewPauliOracle(set), picasso.Normal(int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func BenchmarkStreamShardSweep(b *testing.B) {
 			var res *picasso.Result
 			var err error
 			if shard == 0 {
-				res, err = picasso.Color(o, opts)
+				res, err = picasso.Run(context.Background(), o, opts)
 			} else {
 				opts.ShardSize = shard
 				res, err = picasso.Stream(context.Background(), o, opts)
@@ -416,15 +416,18 @@ func BenchmarkRefine(b *testing.B) {
 		opts.Tracker = &tr
 		opts.Arena = arena
 		opts.MemoryBudgetBytes = 16 << 20
-		res, st, err := picasso.RefineStream(context.Background(), o, opts, picasso.RefineOptions{})
+		opts.Stream = true
+		opts.Refine = &picasso.RefineOptions{}
+		res, err := picasso.Run(context.Background(), o, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			if err := picasso.Verify(o, st.Colors); err != nil {
+			st := res.Refine
+			if err := picasso.Verify(o, res.Colors); err != nil {
 				b.Fatalf("refined coloring not proper: %v", err)
 			}
-			b.ReportMetric(float64(res.NumColors), "colors-before")
+			b.ReportMetric(float64(st.ColorsBefore), "colors-before")
 			b.ReportMetric(float64(st.ColorsAfter), "colors-after")
 			b.ReportMetric(float64(st.Rounds), "rounds")
 			b.ReportMetric(float64(st.HostPeakBytes), "peak-B")
@@ -520,18 +523,19 @@ func BenchmarkPortfolio(b *testing.B) {
 				var tr picasso.MemoryTracker
 				opts := base()
 				opts.Tracker = &tr
-				pres, err := picasso.Portfolio(context.Background(), o, opts,
-					picasso.PortfolioOptions{Entrants: entrants, NoRefine: true})
+				opts.Stream = true
+				opts.Portfolio = &picasso.PortfolioOptions{Entrants: entrants}
+				res, err := picasso.Run(context.Background(), o, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					if err := picasso.Verify(o, pres.FinalColors()); err != nil {
+					if err := picasso.Verify(o, res.Colors); err != nil {
 						b.Fatalf("coloring not proper: %v", err)
 					}
-					b.ReportMetric(float64(pres.Result.NumColors), "colors")
-					b.ReportMetric(float64(pres.TimeToBest.Milliseconds()), "time-to-best-ms")
-					b.ReportMetric(float64(pres.CancelledEntrants), "cancelled")
+					b.ReportMetric(float64(res.NumColors), "colors")
+					b.ReportMetric(float64(res.Portfolio.TimeToBest.Milliseconds()), "time-to-best-ms")
+					b.ReportMetric(float64(res.Portfolio.CancelledEntrants), "cancelled")
 					b.ReportMetric(float64(tr.Peak()), "peak-B")
 				}
 			}

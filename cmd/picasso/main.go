@@ -187,6 +187,9 @@ func main() {
 			fatal("building input: %v", err)
 		}
 	}
+	if set != nil {
+		oracle = picasso.NewPauliOracle(set)
+	}
 	switch {
 	case spec.Instance != "":
 		tr.Alloc(set.Bytes())
@@ -205,7 +208,7 @@ func main() {
 
 	// For streamed runs, keep the last resumable shard-boundary snapshot:
 	// it rides along in the persisted artifact so a later process could
-	// ResumeStream from it.
+	// resume from it (Options.Resume).
 	var lastCheckpoint []byte
 	if store != nil {
 		opts.Checkpoint = func(st picasso.RunState) {
@@ -225,35 +228,10 @@ func main() {
 		defer cancel()
 	}
 
+	// One call runs the whole schedule — race, stream or one-shot, then the
+	// refinement pass — under the deadline.
 	t0 := time.Now()
-	var res *picasso.Result
-	var pres *picasso.PortfolioResult
-	switch {
-	case spec.PortfolioEntrants() >= 2:
-		popts := picasso.PortfolioOptions{Entrants: spec.PortfolioEntrants()}
-		if ropts, ok := spec.RefineOptions(); ok {
-			popts.Refine = ropts
-			popts.RefineBudgetBytes = spec.RefineBudgetBytes()
-		} else {
-			popts.NoRefine = true
-		}
-		if set != nil {
-			pres, err = picasso.PortfolioPauli(ctx, set, opts, popts)
-		} else {
-			pres, err = picasso.Portfolio(ctx, oracle, opts, popts)
-		}
-		if pres != nil {
-			res = pres.Result
-		}
-	case set != nil && spec.Streamed():
-		res, err = picasso.StreamPauli(ctx, set, opts)
-	case set != nil:
-		res, err = picasso.ColorPauliContext(ctx, set, opts)
-	case spec.Streamed():
-		res, err = picasso.Stream(ctx, oracle, opts)
-	default:
-		res, err = picasso.ColorContext(ctx, oracle, opts)
-	}
+	res, err := picasso.Run(ctx, oracle, opts)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			fatal("coloring failed: deadline %s exceeded", spec.Deadline)
@@ -263,7 +241,12 @@ func main() {
 	elapsed := time.Since(t0)
 
 	n := len(res.Colors)
-	fmt.Printf("colors: %d (%.2f%% of |V|)\n", res.NumColors, 100*float64(res.NumColors)/float64(n))
+	rst := res.Refine
+	colors := res.NumColors // before refinement; "refined:" below reports after
+	if rst != nil {
+		colors = rst.ColorsBefore
+	}
+	fmt.Printf("colors: %d (%.2f%% of |V|)\n", colors, 100*float64(colors)/float64(n))
 	fmt.Printf("iterations: %d, max conflict edges: %d, total conflict edges: %d\n",
 		len(res.Iters), res.MaxConflictEdges, res.TotalConflictEdges)
 	fmt.Printf("conflict pairs tested: %d of %d all-pairs (bucketed kernel)\n",
@@ -302,11 +285,11 @@ func main() {
 		}
 	}
 
-	if pres != nil {
+	if race := res.Portfolio; race != nil {
 		fmt.Printf("portfolio: %d entrants, winner %d with %d colors (bound %d), %d cancelled early, %d candidate slots pruned, time-to-best %v\n",
-			len(pres.Entrants), pres.Winner, pres.Result.NumColors, pres.Bound,
-			pres.CancelledEntrants, pres.BoundPrunes, pres.TimeToBest.Round(time.Millisecond))
-		for _, e := range pres.Entrants {
+			len(race.Entrants), race.Winner, colors, race.Bound,
+			race.CancelledEntrants, race.BoundPrunes, race.TimeToBest.Round(time.Millisecond))
+		for _, e := range race.Entrants {
 			outcome := fmt.Sprintf("%d colors in %d shards", e.Colors, e.Shards)
 			if e.Cancelled {
 				outcome = fmt.Sprintf("cancelled at shard %d", e.CancelledAtShard)
@@ -317,31 +300,9 @@ func main() {
 		}
 	}
 
-	// The palette-refinement pass claws colors back from the finished
+	// The palette-refinement pass clawed colors back from the finished
 	// coloring: verification and group output below run on the refined
-	// result. Portfolio runs already refined their winner inside the race.
-	finalColors := res.Colors
-	var rst *picasso.RefineStats
-	switch {
-	case pres != nil:
-		finalColors = pres.FinalColors()
-		rst = pres.Refine
-	default:
-		if ropts, ok := spec.RefineOptions(); ok {
-			if b := spec.RefineBudgetBytes(); b > 0 {
-				opts.MemoryBudgetBytes = b
-			}
-			if set != nil {
-				rst, err = picasso.RefinePauli(context.Background(), set, res.Colors, opts, ropts)
-			} else {
-				rst, err = picasso.Refine(context.Background(), oracle, res.Colors, opts, ropts)
-			}
-			if err != nil {
-				fatal("refinement failed: %v", err)
-			}
-			finalColors = rst.Colors
-		}
-	}
+	// result.
 	if rst != nil {
 		fmt.Printf("refined: %d -> %d colors (-%.1f%%) in %d rounds, %d/%d moved vertices recolored (%v, peak %.2f MB)\n",
 			rst.ColorsBefore, rst.ColorsAfter,
@@ -359,9 +320,9 @@ func main() {
 	if *verify {
 		var err error
 		if set != nil {
-			err = picasso.VerifyGrouping(set, finalColors)
+			err = picasso.VerifyGrouping(set, res.Colors)
 		} else {
-			err = picasso.Verify(oracle, finalColors)
+			err = picasso.Verify(oracle, res.Colors)
 		}
 		if err != nil {
 			fatal("VERIFICATION FAILED: %v", err)
@@ -370,12 +331,12 @@ func main() {
 	}
 
 	if *groupsF != "" && set != nil {
-		writeGroups(*groupsF, set, finalColors)
+		writeGroups(*groupsF, set, res.Colors)
 		fmt.Printf("groups written to %s\n", *groupsF)
 	}
 
 	if store != nil {
-		persistRun(store, spec, set, finalColors, lastCheckpoint)
+		persistRun(store, spec, set, res.Colors, lastCheckpoint)
 	}
 }
 

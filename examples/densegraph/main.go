@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -32,7 +33,7 @@ func main() {
 	opts.Tracker = &tr
 
 	t0 := time.Now()
-	res, err := picasso.Color(o, opts)
+	res, err := picasso.Run(context.Background(), o, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func main() {
 
 	// Spot-verify on a sample (full verification is quadratic).
 	sample := picasso.RandomGraph(2000, density, 2024)
-	resS, err := picasso.Color(sample, opts)
+	resS, err := picasso.Run(context.Background(), sample, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	o := pauliOracle{set}
+	o := picasso.NewPauliOracle(set)
 	fmt.Printf("instance: %d Pauli strings on %d qubits\n\n", set.Len(), set.Qubits())
 
 	fmt.Println("β controls the tradeoff: 1 = fewest colors, 0 = least work")
@@ -33,7 +34,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		res, err := picasso.ColorPauli(set, opts)
+		res, err := picasso.Run(context.Background(), o, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,10 +46,3 @@ func main() {
 	fmt.Println("\nThe sweep behind Tune is what trains the paper's random-forest")
 	fmt.Println("predictor; see cmd/trainpredictor for the full §VI pipeline.")
 }
-
-// pauliOracle adapts a PauliSet to the generic Oracle interface so Tune can
-// sweep it (ColorPauli does this internally).
-type pauliOracle struct{ set *picasso.PauliSet }
-
-func (p pauliOracle) NumVertices() int      { return p.set.Len() }
-func (p pauliOracle) HasEdge(u, v int) bool { return p.set.CommuteEdge(u, v) }

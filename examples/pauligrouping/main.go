@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -37,7 +38,7 @@ func main() {
 		opts := cfg.opts
 		opts.Tracker = &tr
 		t0 := time.Now()
-		res, err := picasso.ColorPauli(set, opts)
+		res, err := picasso.Run(context.Background(), picasso.NewPauliOracle(set), opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,9 +26,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Color the commutation graph: its color classes are the groups.
 	// Aggressive mode trades extra conflict-graph work for the fewest
 	// groups — the right choice for tiny inputs.
-	res, err := picasso.ColorPauli(set, picasso.Aggressive(7))
+	res, err := picasso.Run(context.Background(), picasso.NewPauliOracle(set), picasso.Aggressive(7))
 	if err != nil {
 		log.Fatal(err)
 	}

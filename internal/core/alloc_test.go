@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,11 +24,11 @@ func TestSubViewPathMatchesMappedPath(t *testing.T) {
 	set := pauli.RandomSet(14, 600, rng)
 	for _, seed := range []int64{1, 7, 19} {
 		for _, mk := range []func(int64) Options{Normal, Aggressive} {
-			fast, err := Color(NewPauliOracle(set), mk(seed))
+			fast, err := Run(context.Background(), NewPauliOracle(set), mk(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := Color(plainOracle{NewPauliOracle(set)}, mk(seed))
+			slow, err := Run(context.Background(), plainOracle{NewPauliOracle(set)}, mk(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,13 +63,13 @@ func TestArenaReuseKeepsColoringDeterministic(t *testing.T) {
 			warm := Normal(3)
 			warm.Workers = 2
 			warm.Arena = arena
-			got, err := Color(o, warm)
+			got, err := Run(context.Background(), o, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fresh := Normal(3)
 			fresh.Workers = 2
-			want, err := Color(o, fresh)
+			want, err := Run(context.Background(), o, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +102,7 @@ func TestSteadyStateAllocationsUnderBudget(t *testing.T) {
 	opts.Arena = arena
 	// Two warm-up runs grow the arena to steady state.
 	for i := 0; i < 2; i++ {
-		res, err := Color(o, opts)
+		res, err := Run(context.Background(), o, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestSteadyStateAllocationsUnderBudget(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := Color(o, opts); err != nil {
+		if _, err := Run(context.Background(), o, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -127,12 +128,12 @@ func TestSteadyStatePauliAllocationsUnderBudget(t *testing.T) {
 	opts.Workers = 1
 	opts.Arena = arena
 	for i := 0; i < 2; i++ {
-		if _, err := Color(NewPauliOracle(set), opts); err != nil {
+		if _, err := Run(context.Background(), NewPauliOracle(set), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := Color(NewPauliOracle(set), opts); err != nil {
+		if _, err := Run(context.Background(), NewPauliOracle(set), opts); err != nil {
 			t.Fatal(err)
 		}
 	})

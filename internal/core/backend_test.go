@@ -37,7 +37,7 @@ func TestColorDeterministicAcrossBackends(t *testing.T) {
 		var refName string
 		var ref *Result
 		for name, opts := range backendOptions(seed) {
-			res, err := Color(o, opts)
+			res, err := Run(context.Background(), o, opts)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, name, err)
 			}
@@ -60,9 +60,9 @@ func TestColorDeterministicAcrossBackends(t *testing.T) {
 			}
 		}
 		// Multi-device joins through its own entry point.
-		multi, err := ColorMultiDevice(o, Normal(seed), []*gpusim.Device{
+		multi, err := Run(context.Background(), o, onDevices(Normal(seed), []*gpusim.Device{
 			gpusim.NewDevice("m0", 1<<30, 2), gpusim.NewDevice("m1", 1<<30, 2),
-		})
+		}))
 		if err != nil {
 			t.Fatalf("seed %d multigpu: %v", seed, err)
 		}
@@ -78,12 +78,12 @@ func TestBackendSelectorValidation(t *testing.T) {
 	o := graph.RandomOracle{N: 30, P: 0.5, Seed: 1}
 	bad := Normal(1)
 	bad.Backend = "warp-speculative"
-	if _, err := Color(o, bad); err == nil {
+	if _, err := Run(context.Background(), o, bad); err == nil {
 		t.Error("unknown backend name accepted")
 	}
 	gpuless := Normal(1)
 	gpuless.Backend = "gpu"
-	if _, err := Color(o, gpuless); err == nil {
+	if _, err := Run(context.Background(), o, gpuless); err == nil {
 		t.Error("gpu backend without a device accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestExplicitBuilderOverridesSelector(t *testing.T) {
 	opts := Normal(3)
 	opts.Backend = "gpu" // would fail validation; Builder must win
 	opts.Builder = cb
-	res, err := Color(o, opts)
+	res, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPairsTestedReported(t *testing.T) {
 	// (at n = 2000: L = 7, P = 250, L²/P ≈ 20%); tiny instances degenerate
 	// toward full-palette lists where every pair shares a color.
 	o := graph.RandomOracle{N: 2000, P: 0.5, Seed: 51}
-	res, err := Color(o, Normal(2))
+	res, err := Run(context.Background(), o, Normal(2))
 	if err != nil {
 		t.Fatal(err)
 	}

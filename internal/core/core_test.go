@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestColorValidOnRandomDense(t *testing.T) {
 	for _, n := range []int{1, 2, 10, 100, 400} {
 		for _, p := range []float64{0.2, 0.5, 0.8} {
 			o := graph.RandomOracle{N: n, P: p, Seed: uint64(n)*31 + uint64(p*100)}
-			res, err := Color(o, Normal(7))
+			res, err := Run(context.Background(), o, Normal(7))
 			if err != nil {
 				t.Fatalf("n=%d p=%v: %v", n, p, err)
 			}
@@ -35,7 +36,7 @@ func TestColorAllStrategiesValid(t *testing.T) {
 	for _, s := range []ListStrategy{DynamicBuckets, StaticNatural, StaticLargest, StaticRandom} {
 		opts := Normal(3)
 		opts.Strategy = s
-		res, err := Color(o, opts)
+		res, err := Run(context.Background(), o, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -53,13 +54,13 @@ func TestDynamicBeatsOrMatchesStaticOnAverage(t *testing.T) {
 	sumDyn, sumNat := 0, 0
 	for seed := int64(0); seed < 5; seed++ {
 		optsD := Normal(seed)
-		resD, err := Color(o, optsD)
+		resD, err := Run(context.Background(), o, optsD)
 		if err != nil {
 			t.Fatal(err)
 		}
 		optsN := Normal(seed)
 		optsN.Strategy = StaticNatural
-		resN, err := Color(o, optsN)
+		resN, err := Run(context.Background(), o, optsN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,15 +83,15 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	par.Workers = 8
 	gpu := Normal(42)
 	gpu.Device = gpusim.NewDevice("test", 1<<30, 4)
-	r1, err := Color(o, seq)
+	r1, err := Run(context.Background(), o, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Color(o, par)
+	r2, err := Run(context.Background(), o, par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := Color(o, gpu)
+	r3, err := Run(context.Background(), o, gpu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +107,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 
 func TestSeedChangesColoring(t *testing.T) {
 	o := graph.RandomOracle{N: 200, P: 0.5, Seed: 9}
-	r1, _ := Color(o, Normal(1))
-	r2, _ := Color(o, Normal(2))
+	r1, _ := Run(context.Background(), o, Normal(1))
+	r2, _ := Run(context.Background(), o, Normal(2))
 	same := true
 	for i := range r1.Colors {
 		if r1.Colors[i] != r2.Colors[i] {
@@ -124,7 +125,7 @@ func TestPaletteDiscipline(t *testing.T) {
 	// Colors of iteration ℓ lie in [(ℓ−1)P, ℓP): verify via per-iteration
 	// palette sums — the max color must be below the total palette budget.
 	o := graph.RandomOracle{N: 300, P: 0.6, Seed: 10}
-	res, err := Color(o, Normal(3))
+	res, err := Run(context.Background(), o, Normal(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPaletteDiscipline(t *testing.T) {
 
 func TestIterStatsConsistency(t *testing.T) {
 	o := graph.RandomOracle{N: 300, P: 0.5, Seed: 11}
-	res, err := Color(o, Normal(4))
+	res, err := Run(context.Background(), o, Normal(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +176,11 @@ func TestAggressiveUsesFewerColorsThanNormal(t *testing.T) {
 	o := graph.RandomOracle{N: 400, P: 0.5, Seed: 12}
 	normSum, aggrSum := 0, 0
 	for seed := int64(0); seed < 3; seed++ {
-		rn, err := Color(o, Normal(seed))
+		rn, err := Run(context.Background(), o, Normal(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := Color(o, Aggressive(seed))
+		ra, err := Run(context.Background(), o, Aggressive(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestMaxIterationsFallback(t *testing.T) {
 	// with MaxIterations=1 the fallback must fire and stay proper.
 	o := graph.RandomOracle{N: 60, P: 1.0, Seed: 13} // K60
 	opts := Options{PaletteSize: 2, Alpha: 1, Seed: 1, MaxIterations: 1}
-	res, err := Color(o, opts)
+	res, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestMaxIterationsFallback(t *testing.T) {
 
 func TestCompleteGraphNeedsNColors(t *testing.T) {
 	o := graph.RandomOracle{N: 40, P: 1.0, Seed: 14}
-	res, err := Color(o, Normal(5))
+	res, err := Run(context.Background(), o, Normal(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestCompleteGraphNeedsNColors(t *testing.T) {
 
 func TestEdgelessGraphFewColors(t *testing.T) {
 	o := graph.RandomOracle{N: 50, P: 0, Seed: 15}
-	res, err := Color(o, Normal(6))
+	res, err := Run(context.Background(), o, Normal(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestOptionValidation(t *testing.T) {
 		{PaletteFrac: 0.1, Alpha: 1, MaxIterations: -2},
 	}
 	for i, opts := range bad {
-		if _, err := Color(o, opts); err == nil {
+		if _, err := Run(context.Background(), o, opts); err == nil {
 			t.Errorf("case %d accepted: %+v", i, opts)
 		}
 	}
@@ -281,7 +282,7 @@ func TestMemoryTracking(t *testing.T) {
 	o := graph.RandomOracle{N: 300, P: 0.5, Seed: 17}
 	opts := Normal(7)
 	opts.Tracker = &tr
-	res, err := Color(o, opts)
+	res, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestGPUOOMPropagates(t *testing.T) {
 	o := graph.RandomOracle{N: 400, P: 0.9, Seed: 18}
 	opts := Normal(8)
 	opts.Device = gpusim.NewDevice("tiny", 2048, 2) // absurdly small budget
-	_, err := Color(o, opts)
+	_, err := Run(context.Background(), o, opts)
 	if err == nil {
 		t.Fatal("expected device OOM")
 	}
@@ -317,7 +318,7 @@ func TestGPUEdgeListOverflowOOM(t *testing.T) {
 	o := graph.RandomOracle{N: 500, P: 0.9, Seed: 19}
 	opts := Options{PaletteSize: 4, Alpha: 4, Seed: 2} // huge conflict rate
 	opts.Device = gpusim.NewDevice("small", 60_000, 2)
-	_, err := Color(o, opts)
+	_, err := Run(context.Background(), o, opts)
 	if err == nil {
 		t.Skip("instance fit; enlarge if this starts passing spuriously")
 	}
@@ -334,7 +335,7 @@ func TestPauliOracleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewPauliOracle(set)
-	res, err := Color(o, Normal(21))
+	res, err := Run(context.Background(), o, Normal(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestConflictGraphSublinear(t *testing.T) {
 	// the n·log³n bound (c = 1, natural log) and that the conflict graph
 	// is a clear minority of the full edge set.
 	o := graph.RandomOracle{N: 2500, P: 0.5, Seed: 20}
-	res, err := Color(o, Normal(9))
+	res, err := Run(context.Background(), o, Normal(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestRandomizedInstancesQuick(t *testing.T) {
 			Seed:        rng.Int63(),
 			Strategy:    strategies[rng.Intn(len(strategies))],
 		}
-		res, err := Color(o, opts)
+		res, err := Run(context.Background(), o, opts)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d p=%.2f): %v", trial, n, p, err)
 		}
@@ -401,7 +402,7 @@ func TestRandomizedInstancesQuick(t *testing.T) {
 func TestCSRAsOracleInput(t *testing.T) {
 	// Picasso also works on explicit graphs through the same interface.
 	g := graph.Materialize(graph.RandomOracle{N: 150, P: 0.4, Seed: 23})
-	res, err := Color(g, Normal(11))
+	res, err := Run(context.Background(), g, Normal(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestPauliSmallH2Example(t *testing.T) {
 	o := NewPauliOracle(set)
 	best := set.Len()
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := Color(o, Aggressive(seed))
+		res, err := Run(context.Background(), o, Aggressive(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
-// The staged engine behind every Picasso entry point. The historical
-// monolithic loop is decomposed into four explicit stages per iteration —
+// The staged engine behind Run. Algorithm 1's loop is decomposed into four
+// explicit stages per iteration —
 // assign (candidate lists), build (conflict subgraph + fixed-color pass),
 // color (unconflicted + list coloring), compact (next active set) — with a
 // cancellation check between stages and a serializable RunState snapshot at
@@ -27,14 +27,14 @@ const runStateVersion = 1
 // and the engine's palette/shard cursors. Snapshots own their slices (they
 // never alias engine buffers) and marshal cleanly as JSON. A snapshot taken
 // at a shard boundary of a streamed run — Resumable() reports it — can be
-// handed to ResumeStream with the same oracle and Options to continue the
-// run deterministically: shard unit randomness is derived from (Seed, shard
+// handed back as Options.Resume, with the same oracle and Options, to
+// continue the run deterministically: shard unit randomness is derived from (Seed, shard
 // start), so a resumed run colors exactly as the uninterrupted one would
 // have.
 type RunState struct {
 	Version   int  `json:"version"`
 	N         int  `json:"n"`          // input vertex count
-	Streamed  bool `json:"streamed"`   // produced by Stream/Extend
+	Streamed  bool `json:"streamed"`   // produced by a streamed run
 	Shard     int  `json:"shard"`      // shard size in effect (streamed)
 	Shards    int  `json:"shards"`     // completed shards
 	NextStart int  `json:"next_start"` // first vertex of the next shard
@@ -56,7 +56,7 @@ type RunState struct {
 	Colors []int32 `json:"colors"`
 }
 
-// Resumable reports whether the snapshot sits at a boundary ResumeStream
+// Resumable reports whether the snapshot sits at a boundary Options.Resume
 // accepts: a streamed run between shards — no unit in flight, and the
 // finished unit registered into the frontier (a final-iteration snapshot of
 // a still-open unit has an empty Active too, but its NextStart still points
@@ -137,18 +137,15 @@ type engine struct {
 	// Equitable variant state (equitable.go): bal biases candidate picks
 	// toward the smallest class (nil outside the variant, rebuilt per
 	// unit); balanceOnFinish runs the post-pass rebalance in finish —
-	// set for Color and Stream, never for Extend (the frozen prefix must
-	// stay bit-identical).
+	// set for one-shot and streamed runs, never for appends (the frozen
+	// prefix must stay bit-identical).
 	bal             *classBalance
 	balanceOnFinish bool
 }
 
 // newEngine charges the persistent color array and prepares a run. opts
-// must already be validated; a nil ctx never cancels.
+// must already be validated.
 func newEngine(ctx context.Context, o graph.Oracle, opts *Options, streamed bool) *engine {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := o.NumVertices()
 	e := &engine{
 		ctx: ctx, o: o, opts: opts, ar: opts.Arena,

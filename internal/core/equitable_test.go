@@ -29,7 +29,7 @@ func TestEquitableColor(t *testing.T) {
 	o := planted(300, 5)
 	opts := Normal(3)
 	opts.Variant = VariantEquitable
-	res, err := Color(o, opts)
+	res, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestEquitableStream(t *testing.T) {
 	opts := Normal(11)
 	opts.Variant = VariantEquitable
 	opts.ShardSize = 64
-	res, err := Stream(context.Background(), o, opts)
+	res, err := Run(context.Background(), o, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestEquitableSpeculativeStream(t *testing.T) {
 	opts.Variant = VariantEquitable
 	opts.ShardSize = 48
 	opts.Speculate = 3
-	res, err := Stream(context.Background(), o, opts)
+	res, err := Run(context.Background(), o, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,15 @@ func TestEquitableRefine(t *testing.T) {
 	opts := Normal(17)
 	opts.Variant = VariantEquitable
 	opts.ShardSize = 64
-	res, st, err := RefineStream(context.Background(), o, opts, RefineOptions{})
+	opts.Refine = &RefineOptions{}
+	res, err := Run(context.Background(), o, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEquitable(t, o, st.Colors)
-	if st.ColorsAfter > res.NumColors {
-		t.Fatalf("refine grew the coloring: %d -> %d", res.NumColors, st.ColorsAfter)
+	st := res.Refine
+	checkEquitable(t, o, res.Colors)
+	if st.ColorsAfter > st.ColorsBefore {
+		t.Fatalf("refine grew the coloring: %d -> %d", st.ColorsBefore, st.ColorsAfter)
 	}
 }
 
@@ -90,11 +92,11 @@ func TestEquitableExtendKeepsPrefix(t *testing.T) {
 	opts := Normal(23)
 	opts.Variant = VariantEquitable
 	opts.ShardSize = 32
-	pres, err := Stream(context.Background(), prefix, opts)
+	pres, err := Run(context.Background(), prefix, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Extend(context.Background(), full, pres.Colors, opts)
+	res, err := Run(context.Background(), full, frozen(opts, pres.Colors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +113,13 @@ func TestEquitableExtendKeepsPrefix(t *testing.T) {
 func TestVariantValidation(t *testing.T) {
 	opts := Normal(1)
 	opts.Variant = "equidistant"
-	if _, err := Color(planted(20, 2), opts); err == nil {
+	if _, err := Run(context.Background(), planted(20, 2), opts); err == nil {
 		t.Fatal("unknown variant accepted")
 	}
 	// distance2 is accepted by core (the squaring is the input layer's
 	// job); the run behaves like the standard variant.
 	opts.Variant = VariantDistance2
-	if _, err := Color(planted(20, 2), opts); err != nil {
+	if _, err := Run(context.Background(), planted(20, 2), opts); err != nil {
 		t.Fatalf("distance2 rejected: %v", err)
 	}
 }
@@ -144,7 +146,7 @@ func TestDistance2ViaSquare(t *testing.T) {
 	sq := graph.NewSquare(g)
 	opts := Normal(5)
 	opts.Variant = VariantDistance2
-	res, err := Color(sq, opts)
+	res, err := Run(context.Background(), sq, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -20,12 +21,12 @@ func TestMultiDeviceMatchesSingle(t *testing.T) {
 	// Distributing construction must not change the coloring: the merged
 	// conflict graph is identical, and all randomness is downstream of it.
 	o := graph.RandomOracle{N: 300, P: 0.5, Seed: 44}
-	single, err := Color(o, Normal(9))
+	single, err := Run(context.Background(), o, Normal(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, nd := range []int{1, 2, 3, 5} {
-		multi, err := ColorMultiDevice(o, Normal(9), devGroup(nd, 1<<30))
+		multi, err := Run(context.Background(), o, onDevices(Normal(9), devGroup(nd, 1<<30)))
 		if err != nil {
 			t.Fatalf("%d devices: %v", nd, err)
 		}
@@ -39,7 +40,7 @@ func TestMultiDeviceMatchesSingle(t *testing.T) {
 
 func TestMultiDeviceValidColoring(t *testing.T) {
 	o := graph.RandomOracle{N: 400, P: 0.6, Seed: 45}
-	res, err := ColorMultiDevice(o, Aggressive(3), devGroup(4, 1<<30))
+	res, err := Run(context.Background(), o, onDevices(Aggressive(3), devGroup(4, 1<<30)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestMultiDeviceSplitsMemoryLoad(t *testing.T) {
 	opts := Options{PaletteSize: 8, Alpha: 4, Seed: 1} // very conflict-heavy
 	// Calibrate: find a per-device budget that OOMs alone.
 	small := int64(1_200_000)
-	_, errSingle := ColorMultiDevice(o, opts, devGroup(1, small))
+	_, errSingle := Run(context.Background(), o, onDevices(opts, devGroup(1, small)))
 	if errSingle == nil {
 		t.Skip("budget large enough for one device; shape not testable here")
 	}
@@ -63,14 +64,14 @@ func TestMultiDeviceSplitsMemoryLoad(t *testing.T) {
 	if !errors.As(errSingle, &oom) {
 		t.Fatalf("single-device error: %v", errSingle)
 	}
-	if _, err := ColorMultiDevice(o, opts, devGroup(8, small)); err != nil {
+	if _, err := Run(context.Background(), o, onDevices(opts, devGroup(8, small))); err != nil {
 		t.Fatalf("eight devices with the same per-device budget failed: %v", err)
 	}
 }
 
 func TestMultiDeviceErrors(t *testing.T) {
 	o := graph.RandomOracle{N: 50, P: 0.5, Seed: 47}
-	if _, err := ColorMultiDevice(o, Normal(1), nil); err == nil {
+	if _, err := Run(context.Background(), o, onDevices(Normal(1), nil)); err == nil {
 		t.Fatal("empty device group accepted")
 	}
 }

@@ -32,24 +32,27 @@
 //
 // # The engine seam and the RunState lifecycle
 //
-// The iteration loop is a staged engine (engine.go): assign → build →
-// color → compact, with a cancellation check at every stage boundary —
-// Color/ColorContext run it over the whole vertex set as one unit, Stream
-// runs it shard by shard against the fixed colors of the already-colored
-// prefix (stream.go), and Extend points the same machinery at newly
-// appended vertices. Observers see the seam through two Options hooks:
-// Progress receives each iteration's IterStats, and Checkpoint receives a
-// RunState — the serializable snapshot of the engine (iteration, palette
-// base, active ids, partial coloring, shard cursors).
+// Run is the single entry point. The iteration loop is a staged engine
+// (engine.go): assign → build → color → compact, with a cancellation check
+// at every stage boundary. Options' schedule fields decide where it points:
+// by default it runs over the whole vertex set as one unit; Stream runs it
+// shard by shard against the fixed colors of the already-colored prefix
+// (stream.go); Frozen points the same machinery at newly appended vertices
+// behind a frozen prefix; Refine sends a finished coloring's smallest
+// classes back through it (refine.go); and Portfolio races several
+// configurations of it (portfolio.go). Observers see the seam through two
+// Options hooks: Progress receives each iteration's IterStats, and
+// Checkpoint receives a RunState — the serializable snapshot of the engine
+// (iteration, palette base, active ids, partial coloring, shard cursors).
 //
 // A RunState moves through three stations. It is *captured* at every
 // completed shard of a streamed run (a full copy of the partial coloring,
 // so capture is deliberately per-shard, not per-iteration); every captured
 // snapshot is *resumable* (RunState.Resumable — no unit in flight,
-// frontier registered); and ResumeStream *restores* a snapshot into a
-// fresh engine, which continues deterministically because each shard
-// unit's randomness is derived from (Seed, shard start), never from run
-// history. Snapshots own their slices, so holding or serializing one is
+// frontier registered); and Run with Options.Resume *restores* a snapshot
+// into a fresh engine, which continues deterministically because each
+// shard unit's randomness is derived from (Seed, shard start), never from
+// run history. Snapshots own their slices, so holding or serializing one is
 // always safe.
 //
 // # Concurrent shard schedules
@@ -57,9 +60,9 @@
 // An iteration splits at a second seam: prepareIter runs the
 // frontier-independent half (assign + conflict build + the fixed pass over
 // a frozen prefix) and finishIter the frontier-dependent rest (the delta
-// fixed pass, coloring, compaction). Stream exploits it two ways, each on
-// per-lane resources (arena, conflict builder, child memtrack of the run's
-// root — the root's peak covers the lanes combined). Options.PipelineShards
+// fixed pass, coloring, compaction). A streamed run exploits it two ways,
+// each on per-lane resources (arena, conflict builder, child memtrack of
+// the run's root — the root's peak covers the lanes combined). Options.PipelineShards
 // prepares shard k+1 while shard k colors (pipeline.go): bit-identical to
 // the sequential stream for a fixed ShardSize, since forbid marks only
 // accumulate and shard randomness is (Seed, start)-keyed. Options.Speculate
@@ -77,6 +80,7 @@ import (
 
 	"picasso/internal/backend"
 	"picasso/internal/gpusim"
+	"picasso/internal/graph"
 	"picasso/internal/memtrack"
 )
 
@@ -107,7 +111,7 @@ const (
 	// each other: every candidate pick is biased toward the currently
 	// smallest feasible class, and a post-pass merges and rebalances
 	// classes until the sizes are within ±1 where the graph permits
-	// (graph.VerifyEquitable checks the outcome). Append runs (Extend)
+	// (graph.VerifyEquitable checks the outcome). Append runs (Frozen)
 	// skip the post-pass — a frozen prefix must stay bit-identical.
 	VariantEquitable Variant = "equitable"
 	// VariantDistance2 colors so vertices at distance ≤ 2 differ. The
@@ -180,23 +184,55 @@ type Options struct {
 	// code path, fresh buffers).
 	Arena *Arena
 
-	// ShardSize, when > 0, fixes the streaming shard size: Stream colors the
-	// vertex set B vertices at a time, each shard pruned against the fixed
-	// colors of the already-colored prefix, so iteration-scoped memory
-	// scales with B instead of n. 0 lets Stream derive the shard size from
-	// MemoryBudgetBytes (or a size-based default). Ignored by Color.
+	// The schedule: with none of these five fields set, Run colors the whole
+	// vertex set as one unit. Each replaces a choice of entry point, so Run
+	// rejects the combinations no single run can honor (see Run).
+	//
+	// Stream selects the partitioned streaming engine: the vertex set is
+	// colored in shards, each pruned against the fixed colors of the
+	// already-colored prefix, so live memory follows the shard size instead
+	// of n.
+	Stream bool
+	// Frozen is a complete proper coloring of the first len(Frozen)
+	// vertices (trusted, not re-verified): the run colors only the vertices
+	// [len(Frozen), n) against it, on the streaming engine, and returns
+	// Frozen's entries bit-identical — the append operation. When it covers
+	// all n vertices it is instead the input coloring of the Refine pass,
+	// and no coloring phase runs.
+	Frozen graph.Coloring
+	// Resume continues a streamed run from a shard-boundary snapshot
+	// (Resumable() must hold) taken by Checkpoint, with the same oracle and
+	// Options. With a fixed ShardSize every remaining shard colors exactly
+	// as it would have in the uninterrupted run; budget-derived shard sizes
+	// may adapt differently after a resume (the new tracker has its own peak
+	// history), moving shard boundaries — the coloring stays proper either
+	// way.
+	Resume *RunState
+	// Refine, when non-nil, sends the finished coloring through the
+	// palette-refinement pass (refine.go): Result.Colors is the refined
+	// coloring and Result.Refine records the pass.
+	Refine *RefineOptions
+	// Portfolio, when non-nil, races entrant configurations of the run and
+	// keeps the deterministic winner (portfolio.go); Result.Portfolio
+	// records the race.
+	Portfolio *PortfolioOptions
+
+	// ShardSize, when > 0, fixes the streaming shard size: a streamed run
+	// colors the vertex set B vertices at a time, so iteration-scoped memory
+	// scales with B instead of n. 0 derives the shard size from
+	// MemoryBudgetBytes (or a size-based default). Ignored by one-shot runs.
 	ShardSize int
 	// MemoryBudgetBytes, when > 0, arms the run's tracker with a host-memory
-	// budget. Stream sizes its shards to keep the tracked peak under it,
-	// shrinking after any crossing (graceful degradation — the run completes
-	// rather than OOMing, and Result.BudgetExceeded reports any violation).
-	// When no Tracker is supplied, a private one is created so the budget is
-	// always enforced against real accounting.
+	// budget. A streamed run sizes its shards to keep the tracked peak under
+	// it, shrinking after any crossing (graceful degradation — the run
+	// completes rather than OOMing, and Result.BudgetExceeded reports any
+	// violation). When no Tracker is supplied, a private one is created so
+	// the budget is always enforced against real accounting.
 	MemoryBudgetBytes int64
 	// Checkpoint, when non-nil, receives a RunState snapshot after each
 	// completed shard of a streamed run — always a resumable boundary
 	// (Resumable() == true), so every snapshot can be serialized and later
-	// passed to ResumeStream. Snapshots own their slices (a full copy of
+	// passed back as Resume. Snapshots own their slices (a full copy of
 	// the coloring, which is why they are per-shard, not per-iteration;
 	// per-iteration observability is Progress's job). One-shot runs never
 	// checkpoint. Called synchronously from the coloring goroutine.
@@ -211,7 +247,7 @@ type Options struct {
 	// knob. Budget accounting covers both in-flight shards; when
 	// MemoryBudgetBytes cannot fit two worst-case shards the run falls back
 	// to sequential execution (Result.PipelinedShards reports 0). Ignored
-	// by one-shot Color, and by runs that inject an explicit Builder (a
+	// by one-shot runs, and by runs that inject an explicit Builder (a
 	// single builder instance cannot serve two arenas).
 	PipelineShards bool
 	// Speculate, when ≥ 2, colors up to that many streamed shards
@@ -230,12 +266,14 @@ type Options struct {
 	Speculate int
 
 	// multiDevices distributes conflict-graph construction across a device
-	// group (set via ColorMultiDevice; the paper's multi-GPU future work).
+	// group through the "multigpu" backend (the paper's multi-GPU future
+	// work): each iteration's row space is band-split over the devices,
+	// while the coloring itself is unchanged.
 	multiDevices []*gpusim.Device
 	// pruneBound, when > 0, is the portfolio race's shared color bound: a
 	// streamed run forbids every candidate slot whose global color (palette
 	// base + candidate) is at or above it, concentrating the search below the
-	// best coloring already found (portfolio.go). Set only by Portfolio — the
+	// best coloring already found (portfolio.go). Set only by the race — the
 	// bound is frozen per entrant at launch, so each entrant's coloring stays
 	// a pure function of its own Options and the winner selection stays
 	// deterministic. Refinement units ignore it (their palette is already
@@ -299,11 +337,7 @@ func (o *Options) validate() error {
 	if o.Speculate < 0 {
 		return fmt.Errorf("core: negative speculation width %d", o.Speculate)
 	}
-	if o.MemoryBudgetBytes > 0 && o.Tracker == nil {
-		// A budget without a meter is unenforceable: give the run a private
-		// tracker so shard sizing and Result.BudgetExceeded work anyway.
-		o.Tracker = &memtrack.Tracker{}
-	}
+	o.meter()
 	if o.Arena == nil {
 		o.Arena = NewArena()
 	}
@@ -322,6 +356,54 @@ func (o *Options) validate() error {
 	}
 	return nil
 }
+
+// meter gives a budgeted run a private tracker when the caller supplied
+// none: a budget without a meter is unenforceable, and shard sizing and
+// Result.BudgetExceeded need one.
+func (o *Options) meter() {
+	if o.MemoryBudgetBytes > 0 && o.Tracker == nil {
+		o.Tracker = &memtrack.Tracker{}
+	}
+}
+
+// checkSchedule rejects schedule combinations that no single run can honor
+// (a *ScheduleError), and the arguments the schedule fields carry: a
+// Frozen coloring longer than n or holding an uncolored vertex, a refine
+// input that does not cover n, and a RunState that cannot continue a run
+// over n vertices.
+func (o *Options) checkSchedule(n int) error {
+	switch {
+	case o.Frozen != nil && o.Resume != nil:
+		return &ScheduleError{"Frozen with Resume"}
+	case o.Portfolio != nil && o.Frozen != nil:
+		return &ScheduleError{"Portfolio with Frozen"}
+	case o.Portfolio != nil && o.Resume != nil:
+		return &ScheduleError{"Portfolio with Resume"}
+	case o.Portfolio != nil && !o.Stream && !o.Portfolio.DisableBound:
+		return &ScheduleError{"one-shot Portfolio entrants need DisableBound (one-shot runs have no checkpoints to cancel at)"}
+	}
+	if o.Resume != nil {
+		return o.Resume.validate(n)
+	}
+	if len(o.Frozen) > n {
+		return fmt.Errorf("core: %d frozen colors for %d vertices", len(o.Frozen), n)
+	}
+	if o.Refine != nil && o.Frozen != nil && len(o.Frozen) != n {
+		return fmt.Errorf("core: refine input covers %d of %d vertices", len(o.Frozen), n)
+	}
+	for v, c := range o.Frozen {
+		if c == graph.Uncolored {
+			return fmt.Errorf("core: frozen vertex %d is uncolored", v)
+		}
+	}
+	return nil
+}
+
+// ScheduleError reports Options schedule fields that no single run can
+// honor together, such as resuming a checkpoint behind a frozen prefix.
+type ScheduleError struct{ Conflict string }
+
+func (e *ScheduleError) Error() string { return "core: schedule conflict: " + e.Conflict }
 
 // streamLanes reports how many stream units the options allow in flight at
 // once: Speculate lanes, 2 for pipelining, 1 otherwise. An injected Builder

@@ -32,7 +32,7 @@ type IterStats struct {
 
 // Result is the outcome of a Picasso run.
 type Result struct {
-	Colors    graph.Coloring // proper coloring of the input oracle
+	Colors    graph.Coloring // proper coloring of the input oracle (refined, when Refine ran)
 	NumColors int            // distinct colors used
 	Iters     []IterStats
 	// TotalConflictEdges sums |Ec| over iterations; MaxConflictEdges is the
@@ -84,34 +84,78 @@ type Result struct {
 	AssignTime, BuildTime, ColorTime, TotalTime time.Duration
 	// HostPeakBytes is the tracker's peak if one was supplied.
 	HostPeakBytes int64
+	// Refine records the refinement pass when Options.Refine ran (nil
+	// otherwise); Colors and NumColors then hold the refined coloring.
+	Refine *RefineStats
+	// Portfolio records the race when Options.Portfolio ran (nil
+	// otherwise); the coloring-phase statistics are then the winning
+	// entrant's.
+	Portfolio *PortfolioStats
 }
 
-// Color runs Picasso (Algorithm 1) on the oracle and returns a proper
-// coloring. The graph is consulted only through o.HasEdge — it is never
-// materialized. All iteration-scoped buffers are drawn from the run's
-// arena (Options.Arena, or a private one), so only the returned Result
-// outlives the call; a reused arena makes repeated runs nearly
-// allocation-free.
-func Color(o graph.Oracle, opts Options) (*Result, error) {
-	return ColorContext(context.Background(), o, opts)
-}
-
-// ColorContext is Color with cancellation: ctx is honored at every stage
+// Run colors the oracle under the schedule Options describes and returns a
+// proper coloring of all n vertices. The graph is consulted only through
+// o.HasEdge — it is never materialized — and ctx is honored at every stage
 // boundary of the engine (list assignment, conflict construction, conflict
 // coloring, compaction) and inside the conflict builders, so a cancelled
-// run returns ctx's error within one stage. The whole vertex set is one
-// unit; see Stream for the sharded, budget-governed mode.
-func ColorContext(ctx context.Context, o graph.Oracle, opts Options) (*Result, error) {
+// run returns ctx's error within one stage. All iteration-scoped buffers are
+// drawn from the run's arena (Options.Arena, or a private one), so only the
+// returned Result outlives the call.
+//
+// The schedule fields pick the phases:
+//   - none set: Algorithm 1 over the whole vertex set as one unit;
+//   - Stream: shard by shard against the frozen prefix (stream.go);
+//   - Frozen: only the vertices past the frozen prefix (the append);
+//   - Resume: the rest of a checkpointed streamed run;
+//   - Portfolio: a race of entrant configurations (portfolio.go), streamed
+//     when Stream is set and one-shot otherwise — the measurement mode,
+//     which needs DisableBound;
+//   - Refine: then a refinement pass over the coloring — or over Frozen
+//     alone when it covers all n vertices (refine.go).
+//
+// Frozen, Resume and Portfolio exclude one another (a *ScheduleError).
+// Result.Colors, NumColors, HostPeakBytes and BudgetExceeded cover the whole
+// call; the other statistics describe the coloring phase, and Result.Refine
+// and Result.Portfolio are set exactly when those phases ran.
+func Run(ctx context.Context, o graph.Oracle, opts Options) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := opts.checkSchedule(o.NumVertices()); err != nil {
+		return nil, err
+	}
+	if opts.Portfolio != nil {
+		// Every entrant (and the refinement) validates its own Options.
+		return portfolio(ctx, o, opts)
+	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	var res *Result
+	var err error
+	switch {
+	case opts.Frozen != nil && opts.Refine != nil:
+		res = &Result{Colors: opts.Frozen} // the refine input; nothing to color
+	case opts.Stream || opts.Frozen != nil || opts.Resume != nil:
+		res, err = streamRun(ctx, o, &opts)
+	default:
+		res, err = colorOneShot(ctx, o, &opts)
+	}
+	if err != nil || opts.Refine == nil {
+		return res, err
+	}
+	return refineAfter(ctx, o, res, opts)
+}
+
+// colorOneShot runs Algorithm 1 over the whole vertex set as one unit.
+func colorOneShot(ctx context.Context, o graph.Oracle, opts *Options) (*Result, error) {
 	// Unconditional: 0 disarms, so a budget left on a reused tracker by an
 	// earlier run cannot leak into this one's accounting; the peak baseline
 	// likewise drops to the caller's still-live bytes, so HostPeakBytes and
 	// the budget verdict describe this run, not a predecessor's high water.
 	opts.Tracker.SetBudget(opts.MemoryBudgetBytes)
 	opts.Tracker.ResetPeak()
-	e := newEngine(ctx, o, &opts, false)
+	e := newEngine(ctx, o, opts, false)
 	e.balanceOnFinish = opts.Variant == VariantEquitable
 	e.initUnit(0, e.n)
 	if err := e.runUnit(); err != nil {
@@ -119,6 +163,26 @@ func ColorContext(ctx context.Context, o graph.Oracle, opts Options) (*Result, e
 		return nil, err
 	}
 	return e.finish(), nil
+}
+
+// refineAfter runs the refinement pass over res's coloring under opts
+// (validated) — with Refine.BudgetBytes, when set, as the pass's budget —
+// and folds it into res: the refined coloring replaces res's, and the
+// run-level memory accounting covers both phases.
+func refineAfter(ctx context.Context, o graph.Oracle, res *Result, opts Options) (*Result, error) {
+	if b := opts.Refine.BudgetBytes; b > 0 {
+		opts.MemoryBudgetBytes = b
+		opts.meter()
+	}
+	st, err := refine(ctx, o, res.Colors, &opts, *opts.Refine)
+	if err != nil {
+		return nil, err
+	}
+	res.Refine = st
+	res.Colors, res.NumColors = st.Colors, st.ColorsAfter
+	res.HostPeakBytes = max(res.HostPeakBytes, st.HostPeakBytes)
+	res.BudgetExceeded = res.BudgetExceeded || st.BudgetExceeded
+	return res, nil
 }
 
 // subViewBytes is the tracker charge for an iteration's compacted sub-view:

@@ -30,10 +30,10 @@
 // (final colors, entrant index) over the entrants' deterministic would-be
 // results, tie-broken by index, never by wall-clock.
 //
-// The winning coloring is finally fed through the Refine machinery
-// (refine.go) under the portfolio root tracker, so a portfolio job ends
-// exactly where a single run with an inline refine block would — just with
-// a better starting point.
+// When Options.Refine is set, the winning coloring is finally fed through
+// the refinement pass (refine.go) under the portfolio root tracker, so a
+// race ends exactly where a single run with the same Refine would — just
+// with a better starting point.
 package core
 
 import (
@@ -132,7 +132,11 @@ func entrantBudget(total int64, racers int) int64 {
 	return total / int64(racers)
 }
 
-// PortfolioOptions shapes a portfolio race on top of a base Options.
+// PortfolioOptions shapes a portfolio race on top of a base Options
+// (Options.Portfolio). Entrants stream when the base sets Stream and run
+// one-shot otherwise — the measurement mode, which has no checkpoints to
+// cancel at and so needs DisableBound. The winner is refined when the base
+// sets Refine.
 type PortfolioOptions struct {
 	// Entrants is the total number of entrants including the base
 	// configuration (entrant 0); 2..MaxPortfolioEntrants. Ignored when
@@ -150,18 +154,6 @@ type PortfolioOptions struct {
 	// completion and is measured — the mode for sweeps whose objective is not
 	// the color count alone (Tune's β-weighted colors + conflict work).
 	DisableBound bool
-	// OneShot runs entrants through the one-shot engine instead of the
-	// streaming engine. One-shot runs have no checkpoints to cancel at, so
-	// OneShot requires DisableBound — it exists for measurement sweeps that
-	// must match historical one-shot semantics.
-	OneShot bool
-	// NoRefine skips the automatic refinement of the winning coloring.
-	NoRefine bool
-	// Refine shapes the automatic refinement pass (zero value = engine
-	// defaults); RefineBudgetBytes overrides the base memory budget for the
-	// pass (0 = inherit).
-	Refine            RefineOptions
-	RefineBudgetBytes int64
 }
 
 // EntrantStats describes one entrant's outcome: its distinguishing knobs and
@@ -186,13 +178,12 @@ type EntrantStats struct {
 	PeakBytes        int64 // the entrant lane's own peak (child tracker)
 }
 
-// PortfolioResult is the outcome of a race. The embedded Result is the
-// winning entrant's run verbatim except for its run-level accounting:
-// HostPeakBytes and BudgetExceeded are rewritten to cover the whole
-// portfolio (all lanes combined, plus the refinement pass), because the
-// memory promise is a property of the job, not of the winning lane.
-type PortfolioResult struct {
-	*Result
+// PortfolioStats records a race (Result.Portfolio). The Result carrying it
+// is the winning entrant's run verbatim except for its run-level
+// accounting: HostPeakBytes and BudgetExceeded cover the whole portfolio
+// (all lanes combined, plus the refinement pass), because the memory
+// promise is a property of the job, not of the winning lane.
+type PortfolioStats struct {
 	// Winner is the winning entrant's index: the lexicographic minimum of
 	// (final colors, index) over completed entrants — deterministic for a
 	// fixed spec.
@@ -209,26 +200,6 @@ type PortfolioResult struct {
 	// coloring existed (before refinement) — the portfolio's quality-latency
 	// metric.
 	TimeToBest time.Duration
-	// Refine is the automatic refinement of the winning coloring (nil when
-	// NoRefine was set).
-	Refine *RefineStats
-}
-
-// FinalColors returns the portfolio's final coloring: the refined winner
-// when refinement ran, the raw winner otherwise.
-func (p *PortfolioResult) FinalColors() graph.Coloring {
-	if p.Refine != nil {
-		return p.Refine.Colors
-	}
-	return p.Result.Colors
-}
-
-// FinalNumColors returns the color count of FinalColors.
-func (p *PortfolioResult) FinalNumColors() int {
-	if p.Refine != nil {
-		return p.Refine.ColorsAfter
-	}
-	return p.Result.NumColors
 }
 
 // DefaultVariants derives n entrant configurations from a base Options.
@@ -285,16 +256,18 @@ func entrantName(v *Options) string {
 	return name
 }
 
-// Portfolio races entrant configurations of one coloring job and returns the
-// deterministic winner, auto-refined (see the package comment for the
-// two-phase schedule and the determinism argument). The base opts supplies
-// everything the race shares: the oracle-facing knobs default every variant,
-// Tracker (or a private root) meters all lanes combined, MemoryBudgetBytes
-// is the whole race's budget — phase A runs under all of it, phase-B racers
-// split it by their realized concurrency — and Progress is forwarded
-// serialized across entrants. Options.Checkpoint is NOT forwarded: no
-// portfolio-internal boundary is a resumable state of the portfolio job.
-func Portfolio(ctx context.Context, o graph.Oracle, opts Options, popts PortfolioOptions) (*PortfolioResult, error) {
+// portfolio races entrant configurations of one coloring job and returns the
+// deterministic winner, refined when opts.Refine is set (see the package
+// comment for the two-phase schedule and the determinism argument). The
+// base opts supplies everything the race shares: the oracle-facing knobs
+// default every variant, Tracker (or a private root) meters all lanes
+// combined, MemoryBudgetBytes is the whole race's budget — phase A runs
+// under all of it, phase-B racers split it by their realized concurrency —
+// and Progress is forwarded serialized across entrants. Options.Checkpoint
+// is NOT forwarded: no portfolio-internal boundary is a resumable state of
+// the portfolio job.
+func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, error) {
+	popts := opts.Portfolio
 	variants := popts.Variants
 	if len(variants) == 0 {
 		if popts.Entrants < 2 {
@@ -310,11 +283,6 @@ func Portfolio(ctx context.Context, o graph.Oracle, opts Options, popts Portfoli
 		return nil, fmt.Errorf("core: portfolio needs at least 2 variants, got %d", len(variants))
 	case len(variants) > MaxPortfolioEntrants:
 		return nil, fmt.Errorf("core: portfolio variants %d exceed the cap %d", len(variants), MaxPortfolioEntrants)
-	case popts.OneShot && !popts.DisableBound:
-		return nil, fmt.Errorf("core: portfolio OneShot requires DisableBound (one-shot runs have no checkpoints to cancel at)")
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 
 	root := opts.Tracker
@@ -393,13 +361,7 @@ func Portfolio(ctx context.Context, o graph.Oracle, opts Options, popts Portfoli
 			}
 		}
 		start := time.Now()
-		var res *Result
-		var err error
-		if popts.OneShot {
-			res, err = ColorContext(ectx, o, eopts)
-		} else {
-			res, err = Stream(ectx, o, eopts)
-		}
+		res, err := runEntrantOpts(ectx, o, &eopts, opts.Stream)
 		st.Wall = time.Since(start)
 		st.PeakBytes = eopts.Tracker.Peak()
 		if err != nil {
@@ -459,40 +421,41 @@ func Portfolio(ctx context.Context, o graph.Oracle, opts Options, popts Portfoli
 		}
 	}
 
-	pres := &PortfolioResult{
-		Result: winRes, Winner: winner, Entrants: stats,
-		Bound: pruneTo, TimeToBest: timeToBest,
+	race := &PortfolioStats{
+		Winner: winner, Entrants: stats, Bound: pruneTo, TimeToBest: timeToBest,
 	}
 	for i := range stats {
 		if stats[i].Cancelled {
-			pres.CancelledEntrants++
+			race.CancelledEntrants++
 		}
-		pres.BoundPrunes += stats[i].BoundPrunes
-	}
-	racePeak := root.Peak()
-	raceOver := root.OverBudget()
-
-	if !popts.NoRefine {
-		refOpts := opts
-		refOpts.Tracker = root
-		refOpts.Progress = serialProgress
-		refOpts.Checkpoint = nil
-		if popts.RefineBudgetBytes > 0 {
-			refOpts.MemoryBudgetBytes = popts.RefineBudgetBytes
-		}
-		rst, err := Refine(ctx, o, winRes.Colors, refOpts, popts.Refine)
-		if err != nil {
-			return nil, err
-		}
-		pres.Refine = rst
-		if rst.HostPeakBytes > racePeak {
-			racePeak = rst.HostPeakBytes
-		}
-		raceOver = raceOver || rst.BudgetExceeded
+		race.BoundPrunes += stats[i].BoundPrunes
 	}
 	// The run-level accounting of the returned Result describes the whole
-	// portfolio, not the winning lane (see PortfolioResult).
-	pres.Result.HostPeakBytes = racePeak
-	pres.Result.BudgetExceeded = raceOver
-	return pres, nil
+	// portfolio, not the winning lane (see PortfolioStats).
+	winRes.Portfolio = race
+	winRes.HostPeakBytes = root.Peak()
+	winRes.BudgetExceeded = root.OverBudget()
+	if opts.Refine == nil {
+		return winRes, nil
+	}
+	refOpts := opts
+	refOpts.Tracker = root
+	refOpts.Progress = serialProgress
+	refOpts.Checkpoint = nil
+	if err := refOpts.validate(); err != nil {
+		return nil, err
+	}
+	return refineAfter(ctx, o, winRes, refOpts)
+}
+
+// runEntrantOpts validates one entrant's Options and runs it, streamed or
+// one-shot as the race dictates.
+func runEntrantOpts(ctx context.Context, o graph.Oracle, opts *Options, streamed bool) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if streamed {
+		return streamRun(ctx, o, opts)
+	}
+	return colorOneShot(ctx, o, opts)
 }

@@ -77,37 +77,38 @@ func TestPortfolioDeterministicWinnerEveryBackend(t *testing.T) {
 	backends["multigpu"] = multi
 
 	for name, opts := range backends {
-		popts := PortfolioOptions{Entrants: 4, NoRefine: true}
-		first, err := Portfolio(context.Background(), o, opts, popts)
+		opts.Stream = true
+		opts.Portfolio = &PortfolioOptions{Entrants: 4}
+		first, err := Run(context.Background(), o, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := graph.VerifyOracle(o, first.FinalColors()); err != nil {
+		if err := graph.VerifyOracle(o, first.Colors); err != nil {
 			t.Fatalf("%s: winner coloring not proper: %v", name, err)
 		}
-		if first.Bound == 0 {
+		if first.Portfolio.Bound == 0 {
 			t.Fatalf("%s: no phase-A bound published", name)
 		}
-		if first.Result.NumColors > first.Bound {
+		if first.NumColors > first.Portfolio.Bound {
 			t.Errorf("%s: winner %d colors worse than the baseline bound %d",
-				name, first.Result.NumColors, first.Bound)
+				name, first.NumColors, first.Portfolio.Bound)
 		}
 
-		again, err := Portfolio(context.Background(), o, opts, popts)
+		again, err := Run(context.Background(), o, opts)
 		if err != nil {
 			t.Fatalf("%s: second run: %v", name, err)
 		}
-		if again.Winner != first.Winner || again.Result.NumColors != first.Result.NumColors {
+		if again.Portfolio.Winner != first.Portfolio.Winner || again.NumColors != first.NumColors {
 			t.Fatalf("%s: winner not deterministic: (%d,%d) vs (%d,%d)", name,
-				first.Winner, first.Result.NumColors, again.Winner, again.Result.NumColors)
+				first.Portfolio.Winner, first.NumColors, again.Portfolio.Winner, again.NumColors)
 		}
-		for v := range first.Result.Colors {
-			if again.Result.Colors[v] != first.Result.Colors[v] {
+		for v := range first.Colors {
+			if again.Colors[v] != first.Colors[v] {
 				t.Fatalf("%s: winning coloring differs at vertex %d across runs", name, v)
 			}
 		}
-		for i := range first.Entrants {
-			f, a := first.Entrants[i], again.Entrants[i]
+		for i := range first.Portfolio.Entrants {
+			f, a := first.Portfolio.Entrants[i], again.Portfolio.Entrants[i]
 			if !f.Cancelled && !a.Cancelled && f.Colors != a.Colors {
 				t.Fatalf("%s: entrant %d colors not deterministic: %d vs %d",
 					name, i, f.Colors, a.Colors)
@@ -132,19 +133,20 @@ func TestPortfolioCancellationDrainsLanes(t *testing.T) {
 	var root memtrack.Tracker
 	opts := base
 	opts.Tracker = &root
-	pres, err := Portfolio(context.Background(), o, opts, PortfolioOptions{
-		Variants: []Options{base, hopeless, rival},
-	})
+	opts.Stream = true
+	opts.Refine = &RefineOptions{}
+	opts.Portfolio = &PortfolioOptions{Variants: []Options{base, hopeless, rival}}
+	pres, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if root.Current() != 0 {
 		t.Errorf("%d tracked bytes leaked across the race", root.Current())
 	}
-	if pres.CancelledEntrants == 0 {
+	if pres.Portfolio.CancelledEntrants == 0 {
 		t.Fatal("the fallback entrant was never cancelled")
 	}
-	bad := pres.Entrants[1]
+	bad := pres.Portfolio.Entrants[1]
 	if !bad.Cancelled {
 		t.Fatalf("entrant 1 (MaxIterations=1) survived with %d colors", bad.Colors)
 	}
@@ -154,10 +156,10 @@ func TestPortfolioCancellationDrainsLanes(t *testing.T) {
 	if bad.Colors != 0 {
 		t.Errorf("cancelled entrant reports %d colors", bad.Colors)
 	}
-	if pres.Winner == 1 {
+	if pres.Portfolio.Winner == 1 {
 		t.Error("a cancelled entrant won")
 	}
-	if err := graph.VerifyOracle(o, pres.FinalColors()); err != nil {
+	if err := graph.VerifyOracle(o, pres.Colors); err != nil {
 		t.Fatalf("final coloring not proper: %v", err)
 	}
 
@@ -165,16 +167,14 @@ func TestPortfolioCancellationDrainsLanes(t *testing.T) {
 	// before any racer starts, so the hopeless entrant's cancellation — and
 	// the winner — reproduce exactly.
 	root.Reset()
-	again, err := Portfolio(context.Background(), o, opts, PortfolioOptions{
-		Variants: []Options{base, hopeless, rival},
-	})
+	again, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Entrants[1].Cancelled || again.Winner != pres.Winner ||
-		again.FinalNumColors() != pres.FinalNumColors() {
+	if !again.Portfolio.Entrants[1].Cancelled || again.Portfolio.Winner != pres.Portfolio.Winner ||
+		again.NumColors != pres.NumColors {
 		t.Fatalf("cancellation run not deterministic: winner %d/%d colors vs %d/%d",
-			again.Winner, again.FinalNumColors(), pres.Winner, pres.FinalNumColors())
+			again.Portfolio.Winner, again.NumColors, pres.Portfolio.Winner, pres.NumColors)
 	}
 }
 
@@ -198,30 +198,33 @@ func TestPortfolioBudgetSplitsAcrossEntrants(t *testing.T) {
 	opts := Normal(3)
 	opts.Tracker = &root
 	opts.MemoryBudgetBytes = 24 << 20
-	pres, err := Portfolio(context.Background(), o, opts, PortfolioOptions{Entrants: 4})
+	opts.Stream = true
+	opts.Refine = &RefineOptions{}
+	opts.Portfolio = &PortfolioOptions{Entrants: 4}
+	pres, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if root.Current() != 0 {
 		t.Errorf("%d tracked bytes leaked", root.Current())
 	}
-	if pres.Result.HostPeakBytes > opts.MemoryBudgetBytes && !pres.Result.BudgetExceeded {
+	if pres.HostPeakBytes > opts.MemoryBudgetBytes && !pres.BudgetExceeded {
 		t.Errorf("portfolio peak %d over budget %d but not reported",
-			pres.Result.HostPeakBytes, opts.MemoryBudgetBytes)
+			pres.HostPeakBytes, opts.MemoryBudgetBytes)
 	}
-	for i, e := range pres.Entrants {
+	for i, e := range pres.Portfolio.Entrants {
 		if e.Cancelled {
 			continue
 		}
 		if e.PeakBytes <= 0 {
 			t.Errorf("entrant %d reports no lane peak", i)
 		}
-		if e.PeakBytes > pres.Result.HostPeakBytes {
+		if e.PeakBytes > pres.HostPeakBytes {
 			t.Errorf("entrant %d lane peak %d above the combined root peak %d",
-				i, e.PeakBytes, pres.Result.HostPeakBytes)
+				i, e.PeakBytes, pres.HostPeakBytes)
 		}
 	}
-	if err := graph.VerifyOracle(o, pres.FinalColors()); err != nil {
+	if err := graph.VerifyOracle(o, pres.Colors); err != nil {
 		t.Fatalf("final coloring not proper: %v", err)
 	}
 }
@@ -230,39 +233,43 @@ func TestPortfolioAutoRefinesWinner(t *testing.T) {
 	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 23}
 	opts := Normal(3)
 	opts.ShardSize = 500
-	pres, err := Portfolio(context.Background(), o, opts, PortfolioOptions{Entrants: 3})
+	opts.Stream = true
+	opts.Refine = &RefineOptions{}
+	opts.Portfolio = &PortfolioOptions{Entrants: 3}
+	pres, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pres.Refine == nil {
 		t.Fatal("winner was not auto-refined")
 	}
-	if pres.Refine.ColorsBefore != pres.Result.NumColors {
-		t.Errorf("refine started from %d colors, winner had %d",
-			pres.Refine.ColorsBefore, pres.Result.NumColors)
+	winner := pres.Portfolio.Entrants[pres.Portfolio.Winner].Colors
+	if pres.Refine.ColorsBefore != winner {
+		t.Errorf("refine started from %d colors, winner had %d", pres.Refine.ColorsBefore, winner)
 	}
-	if pres.FinalNumColors() > pres.Result.NumColors {
-		t.Errorf("refined count %d above the winner's %d", pres.FinalNumColors(), pres.Result.NumColors)
+	if pres.NumColors > winner {
+		t.Errorf("refined count %d above the winner's %d", pres.NumColors, winner)
 	}
-	if err := graph.VerifyOracle(o, pres.FinalColors()); err != nil {
+	if err := graph.VerifyOracle(o, pres.Colors); err != nil {
 		t.Fatalf("refined coloring not proper: %v", err)
 	}
 
-	// NoRefine leaves the winner raw.
-	raw, err := Portfolio(context.Background(), o, opts, PortfolioOptions{Entrants: 3, NoRefine: true})
+	// Without Refine the winner stays raw.
+	opts.Refine = nil
+	raw, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if raw.Refine != nil {
-		t.Error("NoRefine still refined")
+		t.Error("a race without Refine still refined")
 	}
-	if raw.FinalNumColors() != raw.Result.NumColors {
-		t.Error("FinalNumColors diverges from the raw winner without refinement")
+	if raw.NumColors != raw.Portfolio.Entrants[raw.Portfolio.Winner].Colors {
+		t.Error("the result's colors diverge from the raw winner without refinement")
 	}
 }
 
 func TestPortfolioMeasurementModeMatchesOneShot(t *testing.T) {
-	// Tune's mode: DisableBound + OneShot races explicit variants without
+	// Tune's mode: DisableBound with one-shot entrants races explicit variants without
 	// pruning or cancellation, and every entrant's measurement is exactly
 	// what a lone one-shot run of that configuration would have produced.
 	o := graph.RandomOracle{N: 900, P: 0.5, Seed: 31}
@@ -270,21 +277,21 @@ func TestPortfolioMeasurementModeMatchesOneShot(t *testing.T) {
 		return Options{PaletteFrac: pf, Alpha: a, Seed: 5, Strategy: DynamicBuckets}
 	}
 	variants := []Options{mk(0.125, 2), mk(0.03, 4.5), mk(0.2, 1)}
-	pres, err := Portfolio(context.Background(), o, variants[0], PortfolioOptions{
-		Variants: variants, DisableBound: true, OneShot: true, NoRefine: true, MaxConcurrent: 2,
-	})
+	base := variants[0]
+	base.Portfolio = &PortfolioOptions{Variants: variants, DisableBound: true, MaxConcurrent: 2}
+	pres, err := Run(context.Background(), o, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pres.Bound != 0 {
-		t.Errorf("measurement mode published a bound of %d", pres.Bound)
+	if pres.Portfolio.Bound != 0 {
+		t.Errorf("measurement mode published a bound of %d", pres.Portfolio.Bound)
 	}
 	for i, v := range variants {
-		solo, err := Color(o, v)
+		solo, err := Run(context.Background(), o, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := pres.Entrants[i]
+		e := pres.Portfolio.Entrants[i]
 		if e.Cancelled {
 			t.Fatalf("entrant %d cancelled in measurement mode", i)
 		}
@@ -305,21 +312,23 @@ func TestPortfolioBoundPrunesObserved(t *testing.T) {
 	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 47}
 	opts := Normal(3)
 	opts.ShardSize = 400
-	pres, err := Portfolio(context.Background(), o, opts, PortfolioOptions{Entrants: 4, NoRefine: true})
+	opts.Stream = true
+	opts.Portfolio = &PortfolioOptions{Entrants: 4}
+	pres, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total int64
-	for _, e := range pres.Entrants {
+	for _, e := range pres.Portfolio.Entrants {
 		total += e.BoundPrunes
 	}
-	if total != pres.BoundPrunes {
-		t.Errorf("aggregate BoundPrunes %d, entrant sum %d", pres.BoundPrunes, total)
+	if total != pres.Portfolio.BoundPrunes {
+		t.Errorf("aggregate BoundPrunes %d, entrant sum %d", pres.Portfolio.BoundPrunes, total)
 	}
-	if pres.Entrants[0].BoundPrunes != 0 {
+	if pres.Portfolio.Entrants[0].BoundPrunes != 0 {
 		t.Error("the phase-A baseline pruned against its own bound")
 	}
-	if pres.BoundPrunes == 0 {
+	if pres.Portfolio.BoundPrunes == 0 {
 		t.Error("no racer ever pruned against the shared bound")
 	}
 }
@@ -372,10 +381,10 @@ func TestPortfolioValidation(t *testing.T) {
 		{Entrants: 1},
 		{Entrants: MaxPortfolioEntrants + 1},
 		{Variants: make([]Options, 1)},
-		{Entrants: 2, OneShot: true}, // OneShot without DisableBound
 	}
 	for i, popts := range cases {
-		if _, err := Portfolio(context.Background(), o, opts, popts); err == nil {
+		opts.Portfolio = &popts
+		if _, err := Run(context.Background(), o, streamed(opts)); err == nil {
 			t.Errorf("case %d: bad portfolio options accepted", i)
 		}
 	}

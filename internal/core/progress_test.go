@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"picasso/internal/graph"
@@ -14,7 +15,7 @@ func TestProgressCallback(t *testing.T) {
 	var seen []IterStats
 	opts := Normal(3)
 	opts.Progress = func(st IterStats) { seen = append(seen, st) }
-	res, err := Color(o, opts)
+	res, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestProgressCallback(t *testing.T) {
 
 	// A nil Progress must stay a no-op (the default path).
 	opts2 := Normal(3)
-	if _, err := Color(o, opts2); err != nil {
+	if _, err := Run(context.Background(), o, opts2); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,10 +26,11 @@ import (
 	"picasso/internal/grow"
 )
 
-// RefineOptions parameterizes a refinement run. The coloring knobs
-// themselves (palette fraction, α, seed, backend, workers, arena, tracker,
-// memory budget) ride on the Options passed alongside; RefineOptions only
-// shapes the rounds. The zero value of every field means "default".
+// RefineOptions parameterizes a refinement pass (Options.Refine). The
+// coloring knobs themselves (palette fraction, α, seed, backend, workers,
+// arena, tracker) ride on the enclosing Options; RefineOptions only shapes
+// the rounds and the pass's budget. The zero value of every field means
+// "default".
 type RefineOptions struct {
 	// Rounds caps the number of refinement rounds (0 = 16).
 	Rounds int
@@ -49,6 +50,9 @@ type RefineOptions struct {
 	// (0 = none). The coloring is always left proper: a timed-out run simply
 	// keeps the rounds already won.
 	MaxTime time.Duration
+	// BudgetBytes is the pass's own host-memory budget (0 = the run's
+	// Options.MemoryBudgetBytes).
+	BudgetBytes int64
 }
 
 // fill applies defaults and rejects nonsense.
@@ -73,6 +77,9 @@ func (r *RefineOptions) fill() error {
 	}
 	if r.MaxTime < 0 {
 		return fmt.Errorf("core: negative refine time cap %v", r.MaxTime)
+	}
+	if r.BudgetBytes < 0 {
+		return fmt.Errorf("core: negative refine budget %d", r.BudgetBytes)
 	}
 	return nil
 }
@@ -115,7 +122,7 @@ type RefineStats struct {
 	BudgetExceeded bool
 }
 
-// Refine improves a finished proper coloring of the oracle by iteratively
+// refine improves a finished proper coloring of the oracle by iteratively
 // eliminating its smallest color classes, recoloring their members into the
 // surviving palette against the frozen remainder. prev must be a complete
 // proper coloring of the oracle (its properness is trusted, not
@@ -123,30 +130,19 @@ type RefineStats struct {
 // RefineStats.Colors with dense color ids. The result is proper whenever
 // prev was, the color count never increases, and a fixed Options.Seed makes
 // the whole run deterministic. ctx cancels at every engine stage boundary
-// and between rounds.
-func Refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts Options, ropts RefineOptions) (*RefineStats, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
+// and between rounds. opts must already be validated.
+func refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts *Options, ropts RefineOptions) (*RefineStats, error) {
 	if err := ropts.fill(); err != nil {
 		return nil, err
 	}
 	n := o.NumVertices()
-	if len(prev) != n {
-		return nil, fmt.Errorf("core: Refine: %d colors for %d vertices", len(prev), n)
-	}
-	for v, c := range prev {
-		if c == graph.Uncolored {
-			return nil, fmt.Errorf("core: Refine: vertex %d is uncolored", v)
-		}
-	}
 	// Same reset discipline as the other entry points: a reused tracker must
 	// not leak an old budget or a stale peak into this run's verdict.
 	opts.Tracker.SetBudget(opts.MemoryBudgetBytes)
 	opts.Tracker.ResetPeak()
 
 	t0 := time.Now()
-	e := newEngine(ctx, o, &opts, true)
+	e := newEngine(ctx, o, opts, true)
 	copy(e.colors, prev)
 	// Densify once up front (map-based, handles arbitrarily sparse input
 	// ids); every later renumber then works in O(C) slices.
@@ -158,7 +154,7 @@ func Refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts Optio
 	moveCap := ropts.MaxMoved
 	if moveCap == 0 {
 		if opts.MemoryBudgetBytes > 0 {
-			moveCap = autoShard(&opts, o, n, n, baseline, 1)
+			moveCap = autoShard(opts, o, n, n, baseline, 1)
 		} else {
 			moveCap = defaultShardSize(n)
 		}
@@ -306,23 +302,6 @@ func Refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts Optio
 	st.BudgetExceeded = e.tr.OverBudget()
 	e.tr.Free(int64(n) * 4) // the engine's color-array charge (see finish)
 	return st, nil
-}
-
-// RefineStream is the end-to-end memory-bounded quality pipeline: a
-// streamed first pass (Options.MemoryBudgetBytes / ShardSize as for Stream)
-// followed by a refinement pass under the same Options. Both phases respect
-// the same budget; their peaks are reported per phase (Result.HostPeakBytes
-// and RefineStats.HostPeakBytes).
-func RefineStream(ctx context.Context, o graph.Oracle, opts Options, ropts RefineOptions) (*Result, *RefineStats, error) {
-	res, err := Stream(ctx, o, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := Refine(ctx, o, res.Colors, opts, ropts)
-	if err != nil {
-		return res, nil, err
-	}
-	return res, st, nil
 }
 
 // initRefineUnit arms the engine for one refinement round over the moved

@@ -34,7 +34,7 @@ func TestRefineProperMonotoneEveryBackend(t *testing.T) {
 	// (moved = recolored + stuck), and all backends — sharing the
 	// bit-identical conflict builds — produce the same refined coloring.
 	o := graph.RandomOracle{N: 2500, P: 0.5, Seed: 41}
-	base, err := Color(o, Normal(7))
+	base, err := Run(context.Background(), o, Normal(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRefineProperMonotoneEveryBackend(t *testing.T) {
 		opts := refineBackendOptions(9)[name]
 		var tr memtrack.Tracker
 		opts.Tracker = &tr
-		st, err := Refine(context.Background(), o, base.Colors, opts, RefineOptions{Rounds: 4})
+		st, err := refineStats(Run(context.Background(), o, refining(opts, base.Colors, RefineOptions{Rounds: 4})))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -103,12 +103,12 @@ func TestRefineProperMonotoneEveryBackend(t *testing.T) {
 
 func TestRefineDeterministicUnderSeed(t *testing.T) {
 	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 5}
-	base, err := Color(o, Normal(2))
+	base, err := Run(context.Background(), o, Normal(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() *RefineStats {
-		st, err := Refine(context.Background(), o, base.Colors, Normal(31), RefineOptions{Rounds: 3})
+		st, err := refineStats(Run(context.Background(), o, refining(Normal(31), base.Colors, RefineOptions{Rounds: 3})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestRefineHonorsBudget(t *testing.T) {
 	var oneTr memtrack.Tracker
 	one := Normal(4)
 	one.Tracker = &oneTr
-	base, err := Color(o, one)
+	base, err := Run(context.Background(), o, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRefineHonorsBudget(t *testing.T) {
 	opts := Normal(4)
 	opts.Tracker = &tr
 	opts.MemoryBudgetBytes = budget
-	st, err := Refine(context.Background(), o, base.Colors, opts, RefineOptions{})
+	st, err := refineStats(Run(context.Background(), o, refining(opts, base.Colors, RefineOptions{})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +170,12 @@ func TestRefineHonorsBudget(t *testing.T) {
 
 func TestRefineTargetAndMovedCap(t *testing.T) {
 	o := graph.RandomOracle{N: 1200, P: 0.5, Seed: 19}
-	base, err := Color(o, Normal(6))
+	base, err := Run(context.Background(), o, Normal(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An already-satisfied target refines nothing.
-	st, err := Refine(context.Background(), o, base.Colors, Normal(6),
-		RefineOptions{TargetColors: base.NumColors})
+	st, err := refineStats(Run(context.Background(), o, refining(Normal(6), base.Colors, RefineOptions{TargetColors: base.NumColors})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +186,7 @@ func TestRefineTargetAndMovedCap(t *testing.T) {
 	// A reachable target stops at (not below) it; MaxMoved bounds every
 	// round's moved set.
 	target := base.NumColors * 9 / 10
-	st, err = Refine(context.Background(), o, base.Colors, Normal(6),
-		RefineOptions{Rounds: 64, TargetColors: target, MaxMoved: 64})
+	st, err = refineStats(Run(context.Background(), o, refining(Normal(6), base.Colors, RefineOptions{Rounds: 64, TargetColors: target, MaxMoved: 64})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +204,7 @@ func TestRefineTargetAndMovedCap(t *testing.T) {
 
 	// A time cap of zero duration... MaxTime is checked before each round,
 	// so an immediately-elapsed cap yields zero rounds.
-	st, err = Refine(context.Background(), o, base.Colors, Normal(6),
-		RefineOptions{MaxTime: time.Nanosecond})
+	st, err = refineStats(Run(context.Background(), o, refining(Normal(6), base.Colors, RefineOptions{MaxTime: time.Nanosecond})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +219,11 @@ func TestRefineTargetAndMovedCap(t *testing.T) {
 func TestRefinePauliKeepsCliquePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	set := pauli.RandomSet(16, 1200, rng)
-	base, err := Color(NewPauliOracle(set), Normal(5))
+	base, err := Run(context.Background(), NewPauliOracle(set), Normal(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Refine(context.Background(), NewPauliOracle(set), base.Colors, Normal(5), RefineOptions{Rounds: 4})
+	st, err := refineStats(Run(context.Background(), NewPauliOracle(set), refining(Normal(5), base.Colors, RefineOptions{Rounds: 4})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +246,7 @@ func TestRefineStreamPipeline(t *testing.T) {
 	var oneTr memtrack.Tracker
 	one := Normal(2)
 	one.Tracker = &oneTr
-	if _, err := Color(o, one); err != nil {
+	if _, err := Run(context.Background(), o, one); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,18 +254,20 @@ func TestRefineStreamPipeline(t *testing.T) {
 	opts := Normal(2)
 	opts.Tracker = &tr
 	opts.MemoryBudgetBytes = oneTr.Peak() / 3
-	res, st, err := RefineStream(context.Background(), o, opts, RefineOptions{})
+	opts.Refine = &RefineOptions{}
+	res, err := Run(context.Background(), o, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := graph.VerifyOracle(o, st.Colors); err != nil {
+	st := res.Refine
+	if err := graph.VerifyOracle(o, res.Colors); err != nil {
 		t.Fatal(err)
 	}
-	if st.ColorsAfter >= res.NumColors {
-		t.Fatalf("refinement won nothing: streamed %d -> refined %d", res.NumColors, st.ColorsAfter)
+	if st.ColorsAfter >= st.ColorsBefore {
+		t.Fatalf("refinement won nothing: streamed %d -> refined %d", st.ColorsBefore, st.ColorsAfter)
 	}
 	if res.HostPeakBytes > opts.MemoryBudgetBytes || st.HostPeakBytes > opts.MemoryBudgetBytes {
-		t.Fatalf("phase peaks %d/%d over budget %d",
+		t.Fatalf("peaks %d (run) / %d (refine) over budget %d",
 			res.HostPeakBytes, st.HostPeakBytes, opts.MemoryBudgetBytes)
 	}
 	if res.BudgetExceeded || st.BudgetExceeded {
@@ -278,23 +277,23 @@ func TestRefineStreamPipeline(t *testing.T) {
 
 func TestRefineValidation(t *testing.T) {
 	o := graph.RandomOracle{N: 100, P: 0.5, Seed: 1}
-	base, err := Color(o, Normal(1))
+	base, err := Run(context.Background(), o, Normal(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := Refine(ctx, o, base.Colors[:50], Normal(1), RefineOptions{}); err == nil {
+	if _, err := refineStats(Run(ctx, o, refining(Normal(1), base.Colors[:50], RefineOptions{}))); err == nil {
 		t.Error("short coloring accepted")
 	}
 	broken := append(graph.Coloring(nil), base.Colors...)
 	broken[3] = graph.Uncolored
-	if _, err := Refine(ctx, o, broken, Normal(1), RefineOptions{}); err == nil {
+	if _, err := refineStats(Run(ctx, o, refining(Normal(1), broken, RefineOptions{}))); err == nil {
 		t.Error("incomplete coloring accepted")
 	}
 	for _, ropts := range []RefineOptions{
 		{Rounds: -1}, {TargetColors: -1}, {StallRounds: -1}, {MaxMoved: -1}, {MaxTime: -time.Second},
 	} {
-		if _, err := Refine(ctx, o, base.Colors, Normal(1), ropts); err == nil {
+		if _, err := refineStats(Run(ctx, o, refining(Normal(1), base.Colors, ropts))); err == nil {
 			t.Errorf("bad options %+v accepted", ropts)
 		}
 	}
@@ -302,14 +301,14 @@ func TestRefineValidation(t *testing.T) {
 
 func TestRefineCancellation(t *testing.T) {
 	o := graph.RandomOracle{N: 2000, P: 0.5, Seed: 9}
-	base, err := Color(o, Normal(3))
+	base, err := Run(context.Background(), o, Normal(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Pre-cancelled: nothing runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Refine(ctx, o, base.Colors, Normal(3), RefineOptions{}); err != context.Canceled {
+	if _, err := refineStats(Run(ctx, o, refining(Normal(3), base.Colors, RefineOptions{}))); err != context.Canceled {
 		t.Fatalf("pre-cancelled refinement returned %v", err)
 	}
 	// Cancel mid-run from the progress hook: the engine observes it at the
@@ -323,7 +322,7 @@ func TestRefineCancellation(t *testing.T) {
 			cancel2()
 		}
 	}
-	if _, err := Refine(ctx2, o, base.Colors, opts, RefineOptions{}); err != context.Canceled {
+	if _, err := refineStats(Run(ctx2, o, refining(opts, base.Colors, RefineOptions{}))); err != context.Canceled {
 		t.Fatalf("mid-run cancelled refinement returned %v", err)
 	}
 	if iters != 2 {
@@ -334,7 +333,7 @@ func TestRefineCancellation(t *testing.T) {
 func TestRefineArenaReuseDeterminism(t *testing.T) {
 	// A warm arena (the service steady state) must not change results.
 	o := graph.RandomOracle{N: 1000, P: 0.5, Seed: 21}
-	base, err := Color(o, Normal(4))
+	base, err := Run(context.Background(), o, Normal(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +341,7 @@ func TestRefineArenaReuseDeterminism(t *testing.T) {
 	run := func() *RefineStats {
 		opts := Normal(11)
 		opts.Arena = arena
-		st, err := Refine(context.Background(), o, base.Colors, opts, RefineOptions{Rounds: 3})
+		st, err := refineStats(Run(context.Background(), o, refining(opts, base.Colors, RefineOptions{Rounds: 3})))
 		if err != nil {
 			t.Fatal(err)
 		}

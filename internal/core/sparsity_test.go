@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"picasso/internal/graph"
@@ -10,7 +11,7 @@ import (
 
 func TestColorChungLuPowerLaw(t *testing.T) {
 	o := graph.ChungLuOracle{N: 500, Exponent: 2.5, AvgDeg: 30, Seed: 7}
-	res, err := Color(o, Normal(3))
+	res, err := Run(context.Background(), o, Normal(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestColorRingLattice(t *testing.T) {
 	// exposes. ∆ = 2K = 6 here.
 	o := graph.RingOracle{N: 401, K: 3}
 	opts := Options{PaletteSize: 8, Alpha: 30, Seed: 5}
-	res, err := Color(o, opts)
+	res, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestColorRingLattice(t *testing.T) {
 		t.Errorf("ring lattice colored with %d colors", res.NumColors)
 	}
 	// Normal mode must still be *valid* on sparse inputs.
-	resN, err := Color(o, Normal(5))
+	resN, err := Run(context.Background(), o, Normal(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestColorRingLattice(t *testing.T) {
 
 func TestColorPlantedKColorable(t *testing.T) {
 	o := graph.PlantedOracle{N: 600, K: 6, P: 0.7, Seed: 11}
-	res, err := Color(o, Aggressive(2))
+	res, err := Run(context.Background(), o, Aggressive(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSparseConflictGraphsTiny(t *testing.T) {
 	// On sparse inputs the conflict graph is a vanishing fraction of the
 	// input: the memory argument is even stronger than in the dense case.
 	o := graph.ChungLuOracle{N: 800, Exponent: 3, AvgDeg: 12, Seed: 13}
-	res, err := Color(o, Normal(7))
+	res, err := Run(context.Background(), o, Normal(7))
 	if err != nil {
 		t.Fatal(err)
 	}

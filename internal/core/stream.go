@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"picasso/internal/backend"
 	"picasso/internal/graph"
@@ -37,68 +36,15 @@ func defaultShardSize(n int) int {
 	return b
 }
 
-// Stream colors the oracle in shards (Options.ShardSize, or a size derived
-// from Options.MemoryBudgetBytes) and returns the same Result a one-shot
-// Color would: a proper coloring of the whole oracle. Live iteration-scoped
-// memory scales with the shard size instead of n; the coloring differs from
-// Color's (shards reuse palette windows against the frozen frontier) but is
-// proper by the same guarantees. ctx cancels at any stage boundary;
-// Options.Checkpoint observes every shard boundary with a resumable
-// RunState.
-func Stream(ctx context.Context, o graph.Oracle, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	return streamRun(ctx, o, &opts, nil, nil)
-}
-
-// Extend colors the vertices [len(prev), n) of the oracle against the
-// frozen coloring prev of the first len(prev) vertices, without recoloring
-// them: the append operation. prev must be a complete proper coloring of
-// the prefix (its colors are trusted, not re-verified). The returned
-// Result's Colors covers all n vertices — prev's entries bit-identical —
-// and its statistics cover only the new work.
-func Extend(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	n := o.NumVertices()
-	if len(prev) > n {
-		return nil, fmt.Errorf("core: Extend: %d fixed colors for %d vertices", len(prev), n)
-	}
-	for v, c := range prev {
-		if c == graph.Uncolored {
-			return nil, fmt.Errorf("core: Extend: fixed vertex %d is uncolored", v)
-		}
-	}
-	return streamRun(ctx, o, &opts, prev, nil)
-}
-
-// ResumeStream continues a streamed run from a shard-boundary RunState
-// (Resumable() must hold) captured by Options.Checkpoint. With the same
-// oracle and Options and a fixed Options.ShardSize the continuation is
-// deterministic: every remaining shard colors exactly as it would have in
-// the uninterrupted run, because shard randomness derives from (Seed, shard
-// start) alone. Budget-derived shard sizes may adapt differently after a
-// resume (the new tracker has its own peak history), moving shard
-// boundaries — the coloring stays proper either way.
-func ResumeStream(ctx context.Context, o graph.Oracle, opts Options, st *RunState) (*Result, error) {
-	if st == nil {
-		return nil, fmt.Errorf("core: ResumeStream: nil run state")
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := st.validate(o.NumVertices()); err != nil {
-		return nil, err
-	}
-	return streamRun(ctx, o, &opts, nil, st)
-}
-
-// streamRun is the shared shard loop behind Stream, Extend and
-// ResumeStream: prev freezes a prefix coloring (Extend), st restores a
-// checkpoint; at most one is non-nil.
-func streamRun(ctx context.Context, o graph.Oracle, opts *Options, prev graph.Coloring, st *RunState) (*Result, error) {
+// streamRun is the shard loop behind every streamed schedule: Frozen
+// freezes a prefix coloring, Resume restores a checkpoint (checkSchedule
+// allows at most one). The result is a proper coloring of the whole oracle;
+// it differs from the one-shot coloring (shards reuse palette windows
+// against the frozen frontier) but is proper by the same guarantees, and a
+// frozen prefix comes back bit-identical while the statistics cover only
+// the new work.
+func streamRun(ctx context.Context, o graph.Oracle, opts *Options) (*Result, error) {
+	prev, st := opts.Frozen, opts.Resume
 	// Unconditional: 0 disarms, so a budget left on a reused tracker by an
 	// earlier run cannot leak into this one's shard sizing or verdict. The
 	// peak baseline drops to the caller's still-live bytes for the same
@@ -107,7 +53,7 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options, prev graph.Co
 	opts.Tracker.SetBudget(opts.MemoryBudgetBytes)
 	opts.Tracker.ResetPeak()
 	e := newEngine(ctx, o, opts, true)
-	// Equitable runs rebalance in finish — except Extend, whose contract is
+	// Equitable runs rebalance in finish — except appends, whose contract is
 	// that the frozen prefix comes back bit-identical.
 	e.balanceOnFinish = opts.Variant == VariantEquitable && prev == nil
 	switch {

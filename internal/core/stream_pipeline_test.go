@@ -17,7 +17,7 @@ func TestStreamPipelinedBitIdenticalEveryBackend(t *testing.T) {
 	// while actually overlapping shards and staying inside the budget.
 	o := graph.RandomOracle{N: 3000, P: 0.5, Seed: 41}
 	for name, opts := range streamBackendOptions(7, 1000) {
-		seq, err := Stream(context.Background(), o, opts)
+		seq, err := Run(context.Background(), o, streamed(opts))
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
@@ -27,7 +27,7 @@ func TestStreamPipelinedBitIdenticalEveryBackend(t *testing.T) {
 		var tr memtrack.Tracker
 		pipe.Tracker = &tr
 		pipe.MemoryBudgetBytes = 64 << 20
-		res, err := Stream(context.Background(), o, pipe)
+		res, err := Run(context.Background(), o, streamed(pipe))
 		if err != nil {
 			t.Fatalf("%s: pipelined: %v", name, err)
 		}
@@ -70,12 +70,12 @@ func TestStreamPipelinedBitIdenticalEveryBackend(t *testing.T) {
 	}
 	opts := Normal(7)
 	opts.ShardSize = 1000
-	seq, err := StreamMultiDevice(context.Background(), o, opts, mk())
+	seq, err := Run(context.Background(), o, streamed(onDevices(opts, mk())))
 	if err != nil {
 		t.Fatalf("multigpu sequential: %v", err)
 	}
 	opts.PipelineShards = true
-	res, err := StreamMultiDevice(context.Background(), o, opts, mk())
+	res, err := Run(context.Background(), o, streamed(onDevices(opts, mk())))
 	if err != nil {
 		t.Fatalf("multigpu pipelined: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestStreamSpeculativeProperDeterministicEveryBackend(t *testing.T) {
 		var tr memtrack.Tracker
 		spec.Tracker = &tr
 		spec.MemoryBudgetBytes = 64 << 20
-		res, err := Stream(context.Background(), o, spec)
+		res, err := Run(context.Background(), o, streamed(spec))
 		if err != nil {
 			t.Fatalf("%s: speculative: %v", name, err)
 		}
@@ -123,7 +123,7 @@ func TestStreamSpeculativeProperDeterministicEveryBackend(t *testing.T) {
 			t.Errorf("%s: %d tracked bytes leaked across the speculative run", name, tr.Current())
 		}
 
-		again, err := Stream(context.Background(), o, spec)
+		again, err := Run(context.Background(), o, streamed(spec))
 		if err != nil {
 			t.Fatalf("%s: second speculative run: %v", name, err)
 		}
@@ -143,7 +143,7 @@ func TestStreamSpeculativeProperDeterministicEveryBackend(t *testing.T) {
 	tail := Normal(7)
 	tail.ShardSize = 600
 	tail.Speculate = 2
-	res, err := Stream(context.Background(), o, tail)
+	res, err := Run(context.Background(), o, streamed(tail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestStreamPipelinedCheckpointResume(t *testing.T) {
 		}
 		states = append(states, st)
 	}
-	want, err := Stream(context.Background(), o, full)
+	want, err := Run(context.Background(), o, streamed(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestStreamPipelinedCheckpointResume(t *testing.T) {
 	seqOpts.PipelineShards = false
 	for i := range states[:len(states)-1] {
 		for mode, ro := range map[string]Options{"pipelined": opts, "sequential": seqOpts} {
-			got, err := ResumeStream(context.Background(), o, ro, &states[i])
+			got, err := Run(context.Background(), o, resumed(ro, &states[i]))
 			if err != nil {
 				t.Fatalf("%s resume from shard %d: %v", mode, i+1, err)
 			}
@@ -213,7 +213,7 @@ func TestStreamSpeculativeCheckpointResume(t *testing.T) {
 		}
 		states = append(states, st)
 	}
-	want, err := Stream(context.Background(), o, full)
+	want, err := Run(context.Background(), o, streamed(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestStreamSpeculativeCheckpointResume(t *testing.T) {
 			states[0].Shards, states[0].NextStart)
 	}
 
-	got, err := ResumeStream(context.Background(), o, opts, &states[0])
+	got, err := Run(context.Background(), o, resumed(opts, &states[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestStreamPipelinedCancellation(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := Stream(ctx, o, opts); err != context.Canceled {
+		if _, err := Run(ctx, o, streamed(opts)); err != context.Canceled {
 			t.Fatalf("%s: pre-cancelled stream returned %v", mode, err)
 		}
 
@@ -270,7 +270,7 @@ func TestStreamPipelinedCancellation(t *testing.T) {
 				cancel2()
 			}
 		}
-		if _, err := Stream(ctx2, o, opts); err != context.Canceled {
+		if _, err := Run(ctx2, o, streamed(opts)); err != context.Canceled {
 			t.Fatalf("%s: boundary-cancelled stream returned %v", mode, err)
 		}
 		if boundaries != 2 {
@@ -292,7 +292,7 @@ func TestStreamPipelinedBudgetFallback(t *testing.T) {
 	opts := Normal(7)
 	opts.ShardSize = 1000
 
-	seq, err := Stream(context.Background(), o, opts)
+	seq, err := Run(context.Background(), o, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestStreamPipelinedBudgetFallback(t *testing.T) {
 	pipe.MemoryBudgetBytes = shardFootprint(&pipe, o, 3000, 1000) * 3 / 2
 	var tr memtrack.Tracker
 	pipe.Tracker = &tr
-	res, err := Stream(context.Background(), o, pipe)
+	res, err := Run(context.Background(), o, streamed(pipe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestStreamPipelinedAutoShardBudget(t *testing.T) {
 		var tr memtrack.Tracker
 		opts.Tracker = &tr
 		opts.MemoryBudgetBytes = 8 << 20
-		res, err := Stream(context.Background(), o, opts)
+		res, err := Run(context.Background(), o, streamed(opts))
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -365,7 +365,7 @@ func TestStreamPipelinedInjectedBuilderFallsBack(t *testing.T) {
 	}
 	injected := opts // validated copy: Builder now set, builderInjected recorded
 	injected.PipelineShards = true
-	res, err := Stream(context.Background(), o, injected)
+	res, err := Run(context.Background(), o, streamed(injected))
 	if err != nil {
 		t.Fatal(err)
 	}

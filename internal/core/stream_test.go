@@ -33,7 +33,7 @@ func TestStreamProperColoringEveryBackend(t *testing.T) {
 	// stays within a fixed factor of the one-shot run, and the tracked peak
 	// respects the configured budget.
 	o := graph.RandomOracle{N: 3000, P: 0.5, Seed: 41}
-	oneShot, err := Color(o, Normal(7))
+	oneShot, err := Run(context.Background(), o, Normal(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestStreamProperColoringEveryBackend(t *testing.T) {
 		var tr memtrack.Tracker
 		opts.Tracker = &tr
 		opts.MemoryBudgetBytes = 8 << 20
-		res, err := Stream(context.Background(), o, opts)
+		res, err := Run(context.Background(), o, streamed(opts))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -70,9 +70,9 @@ func TestStreamProperColoringEveryBackend(t *testing.T) {
 	// The multigpu backend joins through its own entry point.
 	opts := Normal(7)
 	opts.ShardSize = 1000
-	res, err := StreamMultiDevice(context.Background(), o, opts, []*gpusim.Device{
+	res, err := Run(context.Background(), o, streamed(onDevices(opts, []*gpusim.Device{
 		gpusim.NewDevice("m0", 1<<30, 2), gpusim.NewDevice("m1", 1<<30, 2),
-	})
+	})))
 	if err != nil {
 		t.Fatalf("multigpu: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestStreamPauliGrouping(t *testing.T) {
 	set := pauli.RandomSet(16, 1500, rng)
 	opts := Normal(5)
 	opts.ShardSize = 400
-	res, err := Stream(context.Background(), NewPauliOracle(set), opts)
+	res, err := Run(context.Background(), NewPauliOracle(set), streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStreamCheckpointResumeDeterminism(t *testing.T) {
 			states = append(states, st)
 		}
 	}
-	want, err := Stream(context.Background(), o, full)
+	want, err := Run(context.Background(), o, streamed(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestStreamCheckpointResumeDeterminism(t *testing.T) {
 		if err := json.Unmarshal(blob, &st); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ResumeStream(context.Background(), o, opts, &st)
+		got, err := Run(context.Background(), o, resumed(opts, &st))
 		if err != nil {
 			t.Fatalf("resume from shard %d: %v", i+1, err)
 		}
@@ -163,11 +163,11 @@ func TestStreamCheckpointResumeDeterminism(t *testing.T) {
 	// Mid-unit or mismatched snapshots are rejected.
 	bad := states[0]
 	bad.Active = []int32{1}
-	if _, err := ResumeStream(context.Background(), o, opts, &bad); err == nil {
+	if _, err := Run(context.Background(), o, resumed(opts, &bad)); err == nil {
 		t.Error("mid-unit snapshot accepted")
 	}
 	shrunk := states[0]
-	if _, err := ResumeStream(context.Background(), graph.RandomOracle{N: 10, P: 0.5, Seed: 1}, opts, &shrunk); err == nil {
+	if _, err := Run(context.Background(), graph.RandomOracle{N: 10, P: 0.5, Seed: 1}, resumed(opts, &shrunk)); err == nil {
 		t.Error("snapshot for a different oracle size accepted")
 	}
 }
@@ -185,7 +185,7 @@ func TestStreamFallbackCheckpointsResumable(t *testing.T) {
 	var states []RunState
 	full := opts
 	full.Checkpoint = func(st RunState) { states = append(states, st) }
-	want, err := Stream(context.Background(), o, full)
+	want, err := Run(context.Background(), o, streamed(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestStreamFallbackCheckpointsResumable(t *testing.T) {
 		}
 	}
 
-	got, err := ResumeStream(context.Background(), o, opts, &states[0])
+	got, err := Run(context.Background(), o, resumed(opts, &states[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestStreamFallbackCheckpointsResumable(t *testing.T) {
 	// the colors themselves, so the resumed run is bit-identical anyway.
 	corrupt := states[0]
 	corrupt.Ceil = 0
-	got2, err := ResumeStream(context.Background(), o, opts, &corrupt)
+	got2, err := Run(context.Background(), o, resumed(opts, &corrupt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestStreamCancellation(t *testing.T) {
 	// Pre-cancelled: nothing runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Stream(ctx, o, opts); err != context.Canceled {
+	if _, err := Run(ctx, o, streamed(opts)); err != context.Canceled {
 		t.Fatalf("pre-cancelled stream returned %v", err)
 	}
 
@@ -253,7 +253,7 @@ func TestStreamCancellation(t *testing.T) {
 			cancel2()
 		}
 	}
-	if _, err := Stream(ctx2, o, opts); err != context.Canceled {
+	if _, err := Run(ctx2, o, streamed(opts)); err != context.Canceled {
 		t.Fatalf("boundary-cancelled stream returned %v", err)
 	}
 	if shards != 2 {
@@ -268,7 +268,7 @@ func TestStreamCancellation(t *testing.T) {
 		iters++
 		cancel3()
 	}
-	if _, err := ColorContext(ctx3, o, one); err != context.Canceled {
+	if _, err := Run(ctx3, o, one); err != context.Canceled {
 		t.Fatalf("iteration-cancelled run returned %v", err)
 	}
 	if iters != 1 {
@@ -290,13 +290,13 @@ func TestExtendAppendsWithoutRecoloring(t *testing.T) {
 	full := graph.RandomOracle{N: 2000, P: 0.5, Seed: 23}
 	old := prefixOracle{o: full, k: 1500}
 
-	prev, err := Color(old, Normal(9))
+	prev, err := Run(context.Background(), old, Normal(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Normal(9)
 	opts.ShardSize = 200
-	res, err := Extend(context.Background(), full, prev.Colors, opts)
+	res, err := Run(context.Background(), full, frozen(opts, prev.Colors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +316,10 @@ func TestExtendAppendsWithoutRecoloring(t *testing.T) {
 	// Input validation: an incomplete prefix is rejected.
 	broken := append(graph.Coloring(nil), prev.Colors...)
 	broken[3] = graph.Uncolored
-	if _, err := Extend(context.Background(), full, broken, opts); err == nil {
+	if _, err := Run(context.Background(), full, frozen(opts, broken)); err == nil {
 		t.Error("incomplete fixed prefix accepted")
 	}
-	if _, err := Extend(context.Background(), old, res.Colors, opts); err == nil {
+	if _, err := Run(context.Background(), old, frozen(opts, res.Colors)); err == nil {
 		t.Error("prefix longer than the oracle accepted")
 	}
 }
@@ -331,12 +331,12 @@ func TestExtendPauliAppend(t *testing.T) {
 	whole := pauli.RandomSet(14, 1200, rng)
 	old := whole.View(0, 900)
 
-	prev, err := Color(NewPauliOracle(old), Normal(2))
+	prev, err := Run(context.Background(), NewPauliOracle(old), Normal(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Normal(2)
-	res, err := Extend(context.Background(), NewPauliOracle(whole), prev.Colors, opts)
+	res, err := Run(context.Background(), NewPauliOracle(whole), frozen(opts, prev.Colors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestStreamBudgetDerivesShardsGracefully(t *testing.T) {
 	var oneTr memtrack.Tracker
 	one := Normal(4)
 	one.Tracker = &oneTr
-	if _, err := Color(o, one); err != nil {
+	if _, err := Run(context.Background(), o, one); err != nil {
 		t.Fatal(err)
 	}
 
@@ -364,7 +364,7 @@ func TestStreamBudgetDerivesShardsGracefully(t *testing.T) {
 	opts := Normal(4)
 	opts.Tracker = &tr
 	opts.MemoryBudgetBytes = oneTr.Peak() / 3
-	res, err := Stream(context.Background(), o, opts)
+	res, err := Run(context.Background(), o, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestStreamBudgetDerivesShardsGracefully(t *testing.T) {
 	// Tiny budget: completes anyway, flags the violation.
 	tiny := Normal(4)
 	tiny.MemoryBudgetBytes = 1 << 10
-	tres, err := Stream(context.Background(), o, tiny)
+	tres, err := Run(context.Background(), o, streamed(tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestReusedTrackerDoesNotPoisonBudgetVerdict(t *testing.T) {
 	var tr memtrack.Tracker
 	big := Normal(2)
 	big.Tracker = &tr
-	if _, err := Color(o, big); err != nil {
+	if _, err := Run(context.Background(), o, big); err != nil {
 		t.Fatal(err)
 	}
 	stalePeak := tr.Peak()
@@ -413,7 +413,7 @@ func TestReusedTrackerDoesNotPoisonBudgetVerdict(t *testing.T) {
 	opts := Normal(2)
 	opts.Tracker = &tr
 	opts.MemoryBudgetBytes = stalePeak / 3
-	res, err := Stream(context.Background(), o, opts)
+	res, err := Run(context.Background(), o, streamed(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestReusedTrackerDoesNotPoisonBudgetVerdict(t *testing.T) {
 	// unjudged even though the tracker once crossed 64 bytes of budget.
 	clean := Normal(2)
 	clean.Tracker = &tr
-	res2, err := Color(o, clean)
+	res2, err := Run(context.Background(), o, clean)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -38,7 +39,7 @@ func AblationListColoring(cfg Config, instanceName string) ([]AblationListRow, e
 			opts := core.Normal(seed)
 			opts.Strategy = s
 			opts.Workers = cfg.Workers
-			res, err := core.Color(orc, opts)
+			res, err := core.Run(context.Background(), orc, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -150,14 +151,14 @@ func AblationIterative(cfg Config, instanceName string) (*IterativeResult, error
 	for _, seed := range cfg.Seeds {
 		oi := core.Normal(seed)
 		oi.Workers = cfg.Workers
-		ri, err := core.Color(orc, oi)
+		ri, err := core.Run(context.Background(), orc, oi)
 		if err != nil {
 			return nil, err
 		}
 		os := core.Normal(seed)
 		os.Workers = cfg.Workers
 		os.MaxIterations = 1
-		rs, err := core.Color(orc, os)
+		rs, err := core.Run(context.Background(), orc, os)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -60,7 +61,7 @@ func Fig4(cfg Config) ([]Fig4Point, error) {
 			var tr memtrack.Tracker
 			tr.Alloc(env.set.Bytes())
 			opts.Tracker = &tr
-			res, err := core.Color(env.orc, opts)
+			res, err := core.Run(context.Background(), env.orc, opts)
 			if err != nil {
 				return nil, err
 			}

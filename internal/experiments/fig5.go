@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -48,7 +49,7 @@ func Fig5(cfg Config, instanceName string, pfracs, alphas []float64) (*Fig5Resul
 	for _, pf := range pfracs {
 		for _, a := range alphas {
 			opts := core.Options{PaletteFrac: pf, Alpha: a, Seed: seed, Workers: cfg.Workers}
-			r, err := core.Color(orc, opts)
+			r, err := core.Run(context.Background(), orc, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -39,7 +40,7 @@ func Fig2(cfg Config, classes []workload.Class) ([]Fig2Row, error) {
 			edges := graph.CountEdges(orc)
 			opts := core.Normal(seed)
 			opts.Workers = cfg.Workers
-			res, err := core.Color(orc, opts)
+			res, err := core.Run(context.Background(), orc, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +102,7 @@ func Fig3(cfg Config, classes []workload.Class) ([]Fig3Row, error) {
 			orc := core.NewPauliOracle(set)
 			opts := core.Normal(seed)
 			opts.Device = cfg.device()
-			res, err := core.Color(orc, opts)
+			res, err := core.Run(context.Background(), orc, opts)
 			if err != nil {
 				return nil, err
 			}

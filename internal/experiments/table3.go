@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -71,11 +72,11 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		}
 		var norm, aggr, kok, ecl []int
 		for _, seed := range cfg.Seeds {
-			rn, err := core.Color(env.orc, withWorkers(core.Normal(seed), cfg.Workers))
+			rn, err := core.Run(context.Background(), env.orc, withWorkers(core.Normal(seed), cfg.Workers))
 			if err != nil {
 				return nil, err
 			}
-			ra, err := core.Color(env.orc, withWorkers(core.Aggressive(seed), cfg.Workers))
+			ra, err := core.Run(context.Background(), env.orc, withWorkers(core.Aggressive(seed), cfg.Workers))
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -53,7 +54,7 @@ func Table4(cfg Config) ([]Table4Row, error) {
 			tr.Alloc(env.set.Bytes()) // the input the algorithm holds
 			opts.Tracker = &tr
 			opts.Workers = cfg.Workers
-			if _, err := core.Color(env.orc, opts); err != nil {
+			if _, err := core.Run(context.Background(), env.orc, opts); err != nil {
 				return nil, err
 			}
 			if opts.Alpha == 2 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -35,13 +36,13 @@ func Table5(cfg Config) ([]Table5Row, error) {
 		}
 		cpuOpts := core.Normal(seed)
 		cpuOpts.Workers = 1 // the paper's CPU-only implementation is sequential
-		cpuRes, err := core.Color(env.orc, cpuOpts)
+		cpuRes, err := core.Run(context.Background(), env.orc, cpuOpts)
 		if err != nil {
 			return nil, err
 		}
 		gpuOpts := core.Normal(seed)
 		gpuOpts.Device = cfg.device()
-		gpuRes, err := core.Color(env.orc, gpuOpts)
+		gpuRes, err := core.Run(context.Background(), env.orc, gpuOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -120,7 +120,7 @@ type Spec struct {
 	// Portfolio, when non-nil, races entrant configurations of the job —
 	// varying seed, strategy, shard size, and pipeline/speculate schedule —
 	// against a shared best-so-far color bound and keeps the deterministic
-	// winner (see picasso.Portfolio). Implies Stream. A single-entrant block
+	// winner (see picasso.PortfolioOptions). Implies Stream. A single-entrant block
 	// is the plain run and is canonicalized away.
 	Portfolio *PortfolioSpec `json:"portfolio,omitempty"`
 	// Refine, when non-nil, runs the palette-refinement pass after the
@@ -141,7 +141,7 @@ type Spec struct {
 }
 
 // RefineSpec parameterizes the post-coloring palette-refinement pass
-// (picasso.Refine). The zero value of every field means "engine default".
+// (picasso.RefineOptions). The zero value of every field means "engine default".
 // It doubles as the body of the service's POST /v1/jobs/{id}/refine, so
 // the validation rules live in exactly one place (Normalize).
 type RefineSpec struct {
@@ -360,45 +360,6 @@ func (s Spec) BudgetBytes() int64 {
 	return b
 }
 
-// Refined reports whether the job asks for the post-coloring
-// palette-refinement pass.
-func (s Spec) Refined() bool { return s.Refine != nil }
-
-// PortfolioEntrants returns the portfolio race width of a normalized spec
-// (0 = no race).
-func (s Spec) PortfolioEntrants() int {
-	if s.Portfolio == nil {
-		return 0
-	}
-	return s.Portfolio.Entrants
-}
-
-// RefineOptions translates the refine block of a normalized spec into
-// engine options; the bool mirrors Refined. Budget wiring stays with the
-// caller (see RefineBudgetBytes).
-func (s Spec) RefineOptions() (picasso.RefineOptions, bool) {
-	if s.Refine == nil {
-		return picasso.RefineOptions{}, false
-	}
-	return picasso.RefineOptions{
-		Rounds:       s.Refine.Rounds,
-		TargetColors: s.Refine.TargetColors,
-	}, true
-}
-
-// RefineBudgetBytes returns the refinement pass's memory budget: its own
-// when the refine block names one, otherwise the job budget (0 = none).
-func (s Spec) RefineBudgetBytes() int64 {
-	if s.Refine == nil {
-		return 0
-	}
-	if s.Refine.Budget != "" {
-		b, _ := ParseBytes(s.Refine.Budget)
-		return b
-	}
-	return s.BudgetBytes()
-}
-
 // Canonical returns the canonical serialized form of a normalized spec —
 // the cache key and job-id basis. Struct-order JSON marshaling makes it
 // deterministic.
@@ -430,8 +391,10 @@ func ParseCanonical(canonical string) (Spec, error) {
 	return s, nil
 }
 
-// Options translates a normalized spec into run options. Device and
-// Tracker wiring stays with the caller.
+// Options translates a normalized spec into run options, schedule included:
+// Stream, and the Refine and Portfolio blocks (a refine block without a
+// budget of its own inherits the run's). Device and Tracker wiring stays
+// with the caller.
 func (s Spec) Options() picasso.Options {
 	var opts picasso.Options
 	switch s.Mode {
@@ -452,6 +415,14 @@ func (s Spec) Options() picasso.Options {
 	opts.PipelineShards = s.Pipeline
 	opts.Speculate = s.Speculate
 	opts.Variant = picasso.Variant(s.Variant)
+	opts.Stream = s.Stream
+	if r := s.Refine; r != nil {
+		budget, _ := ParseBytes(r.Budget)
+		opts.Refine = &picasso.RefineOptions{Rounds: r.Rounds, TargetColors: r.TargetColors, BudgetBytes: budget}
+	}
+	if s.Portfolio != nil {
+		opts.Portfolio = &picasso.PortfolioOptions{Entrants: s.Portfolio.Entrants}
+	}
 	return opts
 }
 

@@ -82,15 +82,9 @@ func TestSpecRefineBlock(t *testing.T) {
 	if spec.Refine.Budget != "2MiB" {
 		t.Errorf("refine budget normalized to %q", spec.Refine.Budget)
 	}
-	if !spec.Refined() {
-		t.Error("Refined() false with a refine block")
-	}
-	ropts, ok := spec.RefineOptions()
-	if !ok || ropts.Rounds != 5 || ropts.TargetColors != 100 {
-		t.Errorf("RefineOptions = %+v, %v", ropts, ok)
-	}
-	if got := spec.RefineBudgetBytes(); got != 2<<20 {
-		t.Errorf("RefineBudgetBytes = %d, want %d", got, 2<<20)
+	ropts := spec.Options().Refine
+	if ropts == nil || ropts.Rounds != 5 || ropts.TargetColors != 100 || ropts.BudgetBytes != 2<<20 {
+		t.Errorf("Options().Refine = %+v", ropts)
 	}
 
 	// Without its own budget the refinement inherits the job's.
@@ -98,16 +92,16 @@ func TestSpecRefineBlock(t *testing.T) {
 	if err := inherit.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if got := inherit.RefineBudgetBytes(); got != 8<<20 {
-		t.Errorf("inherited RefineBudgetBytes = %d, want %d", got, 8<<20)
+	if opts := inherit.Options(); opts.Refine == nil || opts.Refine.BudgetBytes != 0 || opts.MemoryBudgetBytes != 8<<20 {
+		t.Errorf("inherited refine budget: Refine %+v, run budget %d", opts.Refine, opts.MemoryBudgetBytes)
 	}
 
-	// No refine block: no options, no budget.
+	// No refine block: no refinement.
 	plain := Spec{Random: "1000:0.5", Seed: 1}
 	if err := plain.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plain.RefineOptions(); ok || plain.Refined() || plain.RefineBudgetBytes() != 0 {
+	if plain.Options().Refine != nil {
 		t.Error("plain spec reports a refinement")
 	}
 

@@ -16,8 +16,8 @@ func TestPortfolioNormalize(t *testing.T) {
 	if !s.Streamed() {
 		t.Error("portfolio did not imply stream")
 	}
-	if s.PortfolioEntrants() != 4 {
-		t.Errorf("PortfolioEntrants = %d", s.PortfolioEntrants())
+	if opts := s.Options(); !opts.Stream || opts.Portfolio == nil || opts.Portfolio.Entrants != 4 {
+		t.Errorf("Options() schedule: stream %v, portfolio %+v", opts.Stream, opts.Portfolio)
 	}
 
 	// One entrant is the plain run: the block canonicalizes away, so both
@@ -48,8 +48,8 @@ func TestPortfolioNormalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.PortfolioEntrants() != 4 {
-		t.Errorf("round-tripped entrants = %d", back.PortfolioEntrants())
+	if back.Portfolio == nil || back.Portfolio.Entrants != 4 {
+		t.Errorf("round-tripped portfolio = %+v", back.Portfolio)
 	}
 
 	for _, bad := range []int{0, -2, picasso.MaxPortfolioEntrants + 1} {

@@ -1,6 +1,7 @@
 package mlpredict
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -67,7 +68,7 @@ func SweepBackend(o graph.Oracle, edges int64, pfracs, alphas []float64, seed in
 	for _, pf := range pfracs {
 		for _, a := range alphas {
 			opts := core.Options{PaletteFrac: pf, Alpha: a, Seed: seed, Workers: workers, Backend: backendName}
-			r, err := core.Color(o, opts)
+			r, err := core.Run(context.Background(), o, opts)
 			if err != nil {
 				return nil, fmt.Errorf("mlpredict: sweep (P=%.3f, α=%.1f): %w", pf, a, err)
 			}

@@ -39,7 +39,7 @@ func (s *Server) persistArtifact(job *Job, set *picasso.PauliSet, groups [][]int
 	if s.store == nil {
 		return
 	}
-	colors, err := replayGroups(groups, groupsLen(groups))
+	colors, err := replayGroups(groups)
 	if err != nil {
 		return
 	}
@@ -214,13 +214,4 @@ func (s *Server) prepInput(job *Job) (*picasso.PauliSet, *graph.CSR) {
 	s.stats.artifactLoads++
 	s.mu.Unlock()
 	return art.Set, art.Graph
-}
-
-// groupsLen sums the vertices a group partition covers.
-func groupsLen(groups [][]int) int {
-	n := 0
-	for _, g := range groups {
-		n += len(g)
-	}
-	return n
 }

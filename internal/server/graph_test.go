@@ -54,9 +54,12 @@ func TestSubmitBadInputCode(t *testing.T) {
 // verification, failing the test on a malformed partition.
 func replayTestGroups(t *testing.T, groups [][]int, n int) graph.Coloring {
 	t.Helper()
-	colors, err := replayGroups(groups, n)
+	colors, err := replayGroups(groups)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(colors) != n {
+		t.Fatalf("groups cover %d of %d vertices", len(colors), n)
 	}
 	return colors
 }

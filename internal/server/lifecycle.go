@@ -347,8 +347,8 @@ func (s *Server) releaseTenantLocked(j *Job) {
 // completed shard of a plain streamed job: it keeps the latest RunState on
 // the job (the in-process retry resume point) and publishes it durably as
 // a sidecar next to the artifacts, then journals the boundary. Child jobs
-// never checkpoint (their frozen-prefix inputs are not ResumeStream's
-// shape); persistence failures degrade recovery to restart, never the run.
+// never checkpoint (a frozen-prefix run cannot also resume — Run rejects
+// Frozen with Resume); persistence failures degrade recovery to restart, never the run.
 func (s *Server) persistCheckpoint(job *Job, st picasso.RunState) {
 	if job.Append != nil || job.Refine != nil {
 		return

@@ -146,13 +146,14 @@ func (s *Server) attempt(job *Job, arena *picasso.Arena, attempt int) (sum *Resu
 	return s.color(job, arena)
 }
 
-// color materializes the job's input and runs the coloring, streaming
-// per-iteration statistics into the job's progress view. The coloring draws
-// all iteration-scoped buffers from the worker's arena and observes the
-// job's cancellation context at every engine stage boundary. Specs that
-// asked to stream run on the partitioned engine; append jobs extend their
-// parent's frozen grouping. The returned set is the materialized Pauli
-// input (nil for oracle jobs) so run can persist it alongside the result.
+// color prepares the job's input and run options and makes the job's one
+// engine call, streaming per-iteration statistics into the job's progress
+// view. The coloring draws all iteration-scoped buffers from the worker's
+// arena and observes the job's cancellation context at every engine stage
+// boundary. The spec's schedule (stream, refine, portfolio) rides in the
+// options; append and refine jobs replace it with their own (prepareAppend,
+// prepareRefine). The returned set is the materialized Pauli input (nil for
+// oracle jobs) so run can persist it alongside the result.
 func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
 	opts := job.Spec.Options()
 	if opts.Backend == "" {
@@ -164,7 +165,7 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 	// Serve-level concurrency defaults apply only to streamed jobs whose
 	// spec left both knobs unset — an explicit spec always wins, and
 	// one-shot jobs have no shards to overlap.
-	if job.Spec.Streamed() && !opts.PipelineShards && opts.Speculate == 0 {
+	if opts.Stream && !opts.PipelineShards && opts.Speculate == 0 {
 		if s.cfg.DefaultSpeculate >= 2 {
 			opts.Speculate = s.cfg.DefaultSpeculate
 		} else if s.cfg.DefaultPipeline {
@@ -201,65 +202,24 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 		}
 	}
 
-	if job.Append != nil {
-		return s.colorAppend(job, opts)
+	prepare := s.prepareRun
+	switch {
+	case job.Append != nil:
+		prepare = s.prepareAppend
+	case job.Refine != nil:
+		prepare = s.prepareRefine
 	}
-	if job.Refine != nil {
-		return s.colorRefine(job, opts)
-	}
-
-	// A checkpoint from an earlier attempt (or the previous process) turns
-	// this streamed run into a resume: the already-colored prefix is
-	// restored instead of recolored.
-	var resume *picasso.RunState
-	if job.Spec.Streamed() {
-		s.mu.Lock()
-		resume = job.Resume
-		s.mu.Unlock()
-	}
-
-	oracle, set, err := s.buildInput(job)
+	oracle, set, err := prepare(job, &opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	// Portfolio dispatch: a spec portfolio block, or the server's default
-	// entrants for streamed jobs that didn't ask. A resumable checkpoint
-	// wins over a server-side default — portfolio runs never checkpoint, so
-	// one can only exist for a job that previously ran single-entrant.
-	entrants := job.Spec.PortfolioEntrants()
-	if entrants == 0 && job.Spec.Streamed() && s.cfg.DefaultEntrants >= 2 && resume == nil {
-		entrants = s.cfg.DefaultEntrants
-	}
-	if entrants >= 2 {
-		return s.colorPortfolio(job, opts, entrants, oracle, set)
-	}
-
-	var res *picasso.Result
-	switch {
-	case set != nil && job.Spec.Streamed():
-		if resume != nil {
-			res, err = picasso.ResumeStreamPauli(job.ctx, set, opts, resume)
-		} else {
-			res, err = picasso.StreamPauli(job.ctx, set, opts)
-		}
-	case set != nil:
-		res, err = picasso.ColorPauliContext(job.ctx, set, opts)
-	case job.Spec.Streamed():
-		if resume != nil {
-			res, err = picasso.ResumeStream(job.ctx, oracle, opts, resume)
-		} else {
-			res, err = picasso.Stream(job.ctx, oracle, opts)
-		}
-	default:
-		res, err = picasso.ColorContext(job.ctx, oracle, opts)
-	}
+	res, err := picasso.Run(job.ctx, oracle, opts)
 	if err != nil {
 		// A checkpoint the engine rejects outright (corrupt, or stale
 		// against a changed spec) must not wedge the job: if the resumed
 		// run made no progress and the job is still live, drop the
 		// checkpoint and recolor from scratch within this same attempt.
-		if resume != nil && job.ctx.Err() == nil {
+		if opts.Resume != nil && job.ctx.Err() == nil {
 			s.mu.Lock()
 			fresh := !progressed
 			if fresh {
@@ -272,95 +232,39 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 		}
 		return nil, nil, nil, err
 	}
-
-	// Specs with a refine block run the palette-refinement pass in the same
-	// job: the first-pass coloring feeds Refine, and the published grouping
-	// is the compacted one.
-	if ropts, ok := job.Spec.RefineOptions(); ok {
-		// Override only when the spec names a refinement budget (its own or
-		// the job's): a spec with neither keeps the server's default per-job
-		// budget already wired into opts.
-		if b := job.Spec.RefineBudgetBytes(); b > 0 {
-			opts.MemoryBudgetBytes = b
-		}
-		var rst *picasso.RefineStats
-		if set != nil {
-			rst, err = picasso.RefinePauli(job.ctx, set, res.Colors, opts, ropts)
-		} else {
-			rst, err = picasso.Refine(job.ctx, oracle, res.Colors, opts, ropts)
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		groups := picasso.ColorGroups(rst.Colors)
-		sum := summarize(res, groups)
-		refineSummarize(sum, res.NumColors, rst)
-		return sum, groups, set, nil
+	if race := res.Portfolio; race != nil {
+		s.mu.Lock()
+		s.stats.portfolioEntrants += int64(len(race.Entrants))
+		s.stats.portfolioCancelled += int64(race.CancelledEntrants)
+		s.stats.portfolioBoundPrunes += race.BoundPrunes
+		s.mu.Unlock()
 	}
-
 	groups := picasso.ColorGroups(res.Colors)
 	return summarize(res, groups), groups, set, nil
 }
 
-// colorPortfolio races entrants configurations of the job and publishes the
-// deterministic winner, refined when the spec asked for it: the summary's
-// top-level fields describe the winning run (its peak covering all lanes
-// combined), the nested portfolio block the race. The winner's groups flow
-// into the normal persistence path, so a portfolio job's artifact is exactly
-// a single run's.
-func (s *Server) colorPortfolio(job *Job, opts picasso.Options, entrants int, oracle picasso.Oracle, set *picasso.PauliSet) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
-	popts := picasso.PortfolioOptions{Entrants: entrants}
-	if ropts, ok := job.Spec.RefineOptions(); ok {
-		popts.Refine = ropts
-		popts.RefineBudgetBytes = job.Spec.RefineBudgetBytes()
-	} else {
-		popts.NoRefine = true
-	}
-	var pres *picasso.PortfolioResult
-	var err error
-	if set != nil {
-		pres, err = picasso.PortfolioPauli(job.ctx, set, opts, popts)
-	} else {
-		pres, err = picasso.Portfolio(job.ctx, oracle, opts, popts)
-	}
+// prepareRun builds a fresh job's input and completes its schedule: a
+// checkpoint from an earlier attempt (or the previous process) turns a
+// streamed run into a resume — the already-colored prefix is restored
+// instead of recolored — and streamed jobs without a portfolio block race
+// the server's default entrants. A resumable checkpoint wins over that
+// default: portfolio runs never checkpoint, so one can only exist for a job
+// that previously ran single-entrant.
+func (s *Server) prepareRun(job *Job, opts *picasso.Options) (picasso.Oracle, *picasso.PauliSet, error) {
+	oracle, set, err := s.buildInput(job)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-
+	if !opts.Stream || opts.Portfolio != nil {
+		return oracle, set, nil
+	}
 	s.mu.Lock()
-	s.stats.portfolioEntrants += int64(len(pres.Entrants))
-	s.stats.portfolioCancelled += int64(pres.CancelledEntrants)
-	s.stats.portfolioBoundPrunes += pres.BoundPrunes
+	opts.Resume = job.Resume
 	s.mu.Unlock()
-
-	groups := picasso.ColorGroups(pres.FinalColors())
-	sum := summarize(pres.Result, groups)
-	if pres.Refine != nil {
-		refineSummarize(sum, pres.Result.NumColors, pres.Refine)
+	if opts.Resume == nil && s.cfg.DefaultEntrants >= 2 {
+		opts.Portfolio = &picasso.PortfolioOptions{Entrants: s.cfg.DefaultEntrants}
 	}
-	ps := &PortfolioSummary{
-		Entrants:     len(pres.Entrants),
-		Winner:       pres.Winner,
-		Bound:        pres.Bound,
-		Cancelled:    pres.CancelledEntrants,
-		BoundPrunes:  pres.BoundPrunes,
-		TimeToBestMS: float64(pres.TimeToBest) / float64(time.Millisecond),
-	}
-	for _, e := range pres.Entrants {
-		ps.EntrantStats = append(ps.EntrantStats, EntrantSummary{
-			Index:            e.Index,
-			Name:             e.Name,
-			Colors:           e.Colors,
-			Shards:           e.Shards,
-			WallMS:           float64(e.Wall) / float64(time.Millisecond),
-			PeakBytes:        e.PeakBytes,
-			BoundPrunes:      e.BoundPrunes,
-			Cancelled:        e.Cancelled,
-			CancelledAtShard: e.CancelledAtShard,
-		})
-	}
-	sum.Portfolio = ps
-	return sum, groups, set, nil
+	return oracle, set, nil
 }
 
 // buildInput materializes a job's input, consulting the disk tier first: a
@@ -370,73 +274,53 @@ func (s *Server) colorPortfolio(job *Job, opts picasso.Options, entrants int, or
 // input. For graph jobs the prep hit is more than an optimization: a spec
 // rehydrated from its canonical string carries only the content key, and
 // the persisted CSR is the payload behind it (AttachGraph re-verifies the
-// content hash before the spec accepts it).
+// content hash before the spec accepts it). Pauli inputs come back as the
+// set plus its commutation oracle.
 func (s *Server) buildInput(job *Job) (picasso.Oracle, *picasso.PauliSet, error) {
 	set, g := s.prepInput(job)
-	if set != nil {
-		return nil, set, nil
+	if set == nil {
+		if g != nil && job.Spec.GraphCSR() == nil {
+			// A mismatch is left for BuildInput to report: it names what is
+			// missing, while a silently wrong attach could never verify.
+			_ = job.Spec.AttachGraph(g)
+		}
+		oracle, built, err := job.Spec.BuildInput()
+		if err != nil || built == nil {
+			return oracle, nil, err
+		}
+		set = built
 	}
-	if g != nil && job.Spec.GraphCSR() == nil {
-		// A mismatch is left for BuildInput to report: it names what is
-		// missing, while a silently wrong attach could never verify.
-		_ = job.Spec.AttachGraph(g)
-	}
-	return job.Spec.BuildInput()
+	return picasso.NewPauliOracle(set), set, nil
 }
 
-// colorRefine rebuilds the parent's input (base spec plus any appended
-// strings), replays the parent's frozen groups as the input coloring, and
-// runs the palette-refinement pass over it. The parent grouping was proper
-// by construction; refinement keeps it proper while shrinking the group
-// count, and the job's groups are the compacted partition.
-func (s *Server) colorRefine(job *Job, opts picasso.Options) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
+// prepareRefine rebuilds the parent's input (base spec plus any appended
+// strings) and replays the parent's frozen groups as the input coloring of
+// a refinement-only run. The parent grouping was proper by construction;
+// refinement keeps it proper while shrinking the group count. The parent
+// spec's own refine and portfolio blocks do not apply: the request's knobs
+// are the whole schedule.
+func (s *Server) prepareRefine(job *Job, opts *picasso.Options) (picasso.Oracle, *picasso.PauliSet, error) {
 	oracle, set, err := s.buildInput(job)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if set != nil {
 		if err := appendStringsToSet(set, job.Refine.Strings); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	n := 0
-	if set != nil {
-		n = set.Len()
-	} else {
-		n = oracle.NumVertices()
+	// The parent groups must cover the rebuilt input exactly (Run checks):
+	// refinement — unlike append — recolors only what already has a color.
+	if opts.Frozen, err = replayGroups(job.Refine.Groups); err != nil {
+		return nil, nil, err
 	}
-
-	// The parent groups must cover the rebuilt input exactly: refinement —
-	// unlike append — recolors only what already has a color.
-	prevLen := 0
-	for _, group := range job.Refine.Groups {
-		prevLen += len(group)
+	opts.Refine = &picasso.RefineOptions{
+		Rounds:       job.Refine.Rounds,
+		TargetColors: job.Refine.TargetColors,
+		BudgetBytes:  job.Refine.BudgetBytes,
 	}
-	if prevLen != n {
-		return nil, nil, nil, fmt.Errorf("refine parent groups cover %d of %d vertices", prevLen, n)
-	}
-	prev, err := replayGroups(job.Refine.Groups, n)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	if job.Refine.BudgetBytes > 0 {
-		opts.MemoryBudgetBytes = job.Refine.BudgetBytes
-	}
-	ropts := picasso.RefineOptions{Rounds: job.Refine.Rounds, TargetColors: job.Refine.TargetColors}
-	var rst *picasso.RefineStats
-	if set != nil {
-		rst, err = picasso.RefinePauli(job.ctx, set, prev, opts, ropts)
-	} else {
-		rst, err = picasso.Refine(job.ctx, oracle, prev, opts, ropts)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	groups := picasso.ColorGroups(rst.Colors)
-	sum := &ResultSummary{Vertices: n, NumGroups: len(groups)}
-	refineSummarize(sum, rst.ColorsBefore, rst)
-	return sum, groups, set, nil
+	opts.Portfolio = nil
+	return oracle, set, nil
 }
 
 // appendStringsToSet parses a child job's carried strings and appends them
@@ -457,10 +341,14 @@ func appendStringsToSet(set *picasso.PauliSet, strs []string) error {
 	return nil
 }
 
-// replayGroups converts a frozen group partition over n vertices back into
-// a coloring (class ordinal = color — proper, since classes are exactly the
-// parent's color classes), validating bounds and coverage.
-func replayGroups(groups [][]int, n int) (picasso.Coloring, error) {
+// replayGroups converts a frozen group partition back into a coloring of
+// the vertices it covers (class ordinal = color — proper, since classes are
+// exactly the parent's color classes), validating bounds and disjointness.
+func replayGroups(groups [][]int) (picasso.Coloring, error) {
+	n := 0
+	for _, group := range groups {
+		n += len(group)
+	}
 	prev := make(picasso.Coloring, n)
 	for i := range prev {
 		prev[i] = -1
@@ -476,70 +364,48 @@ func replayGroups(groups [][]int, n int) (picasso.Coloring, error) {
 	return prev, nil
 }
 
-// refineSummarize folds a refinement pass into a result summary: the
-// published color count is the refined one, the pre-refinement count and
-// rounds ride along, iteration and pair-test work accumulates on top of
-// whatever the first pass already recorded (so inline-refine jobs report
-// the whole pipeline, matching their live Progress counters), and a budget
-// violation in either phase is reported.
-func refineSummarize(sum *ResultSummary, colorsBefore int, rst *picasso.RefineStats) {
-	sum.NumColors = rst.ColorsAfter
-	sum.ColorsBefore = colorsBefore
-	sum.RefineRounds = rst.Rounds
-	sum.Iterations += rst.Iterations
-	sum.PairsTested += rst.PairsTested
-	if rst.HostPeakBytes > sum.PeakBytes {
-		sum.PeakBytes = rst.HostPeakBytes
-	}
-	sum.BudgetExceeded = sum.BudgetExceeded || rst.BudgetExceeded
-}
-
-// colorAppend rebuilds the parent's base input, appends the job's full
+// prepareAppend rebuilds the parent's base input, appends the job's full
 // string list (a chained append's parent strings first, then the new
-// ones), and extends the frozen grouping: every vertex the parent's groups
-// cover keeps its exact group, the rest are colored against them by the
-// streaming engine's fixed-color pass.
-func (s *Server) colorAppend(job *Job, opts picasso.Options) (*ResultSummary, [][]int, *picasso.PauliSet, error) {
-	_, set, err := s.buildInput(job)
+// ones), and freezes the parent's grouping: every vertex the parent's
+// groups cover keeps its exact group, the rest are colored against them by
+// the streaming engine's fixed-color pass. An append extends and nothing
+// else — it never races or refines, whatever the parent's spec asked for.
+func (s *Server) prepareAppend(job *Job, opts *picasso.Options) (picasso.Oracle, *picasso.PauliSet, error) {
+	oracle, set, err := s.buildInput(job)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if set == nil {
-		return nil, nil, nil, fmt.Errorf("append parent is not a Pauli job")
+		return nil, nil, fmt.Errorf("append parent is not a Pauli job")
 	}
 	base := set.Len()
 	if err := appendStringsToSet(set, job.Append.Strings); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-
 	// The frozen prefix is whatever the parent's groups cover: the base
 	// input alone for a first append, base plus the parent's own appends
-	// for a chained one. Replayed as a coloring, the class ordinal is a
-	// proper color (classes are exactly the parent's color classes).
-	prevLen := 0
-	for _, group := range job.Append.Groups {
-		prevLen += len(group)
-	}
-	if prevLen < base || prevLen > set.Len() {
-		return nil, nil, nil, fmt.Errorf("append parent groups cover %d strings, expected between %d and %d",
-			prevLen, base, set.Len())
-	}
-	prev, err := replayGroups(job.Append.Groups, prevLen)
+	// for a chained one.
+	prev, err := replayGroups(job.Append.Groups)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-
-	res, err := picasso.ExtendPauli(job.ctx, set, prev, opts)
-	if err != nil {
-		return nil, nil, nil, err
+	if len(prev) < base || len(prev) > set.Len() {
+		return nil, nil, fmt.Errorf("append parent groups cover %d strings, expected between %d and %d",
+			len(prev), base, set.Len())
 	}
-	groups := picasso.ColorGroups(res.Colors)
-	return summarize(res, groups), groups, set, nil
+	opts.Frozen, opts.Refine, opts.Portfolio = prev, nil, nil
+	return oracle, set, nil
 }
 
-// summarize digests a Result for the status endpoint.
+// summarize digests a Result for the status endpoint. A refinement pass
+// adds the pre-refinement color count and rounds (the published count is
+// the refined one), and its iteration and pair-test work accumulates on
+// top of the coloring phase's, so inline-refine jobs report the whole
+// pipeline, matching their live Progress counters. A race adds the
+// portfolio block; the top-level fields then describe the winning run, its
+// peak covering all lanes combined.
 func summarize(res *picasso.Result, groups [][]int) *ResultSummary {
-	return &ResultSummary{
+	sum := &ResultSummary{
 		Vertices:           len(res.Colors),
 		NumColors:          res.NumColors,
 		NumGroups:          len(groups),
@@ -557,4 +423,35 @@ func summarize(res *picasso.Result, groups [][]int) *ResultSummary {
 		BudgetExceeded:     res.BudgetExceeded,
 		ResumedShards:      res.ResumedShards,
 	}
+	if rst := res.Refine; rst != nil {
+		sum.ColorsBefore = rst.ColorsBefore
+		sum.RefineRounds = rst.Rounds
+		sum.Iterations += rst.Iterations
+		sum.PairsTested += rst.PairsTested
+	}
+	if race := res.Portfolio; race != nil {
+		ps := &PortfolioSummary{
+			Entrants:     len(race.Entrants),
+			Winner:       race.Winner,
+			Bound:        race.Bound,
+			Cancelled:    race.CancelledEntrants,
+			BoundPrunes:  race.BoundPrunes,
+			TimeToBestMS: float64(race.TimeToBest) / float64(time.Millisecond),
+		}
+		for _, e := range race.Entrants {
+			ps.EntrantStats = append(ps.EntrantStats, EntrantSummary{
+				Index:            e.Index,
+				Name:             e.Name,
+				Colors:           e.Colors,
+				Shards:           e.Shards,
+				WallMS:           float64(e.Wall) / float64(time.Millisecond),
+				PeakBytes:        e.PeakBytes,
+				BoundPrunes:      e.BoundPrunes,
+				Cancelled:        e.Cancelled,
+				CancelledAtShard: e.CancelledAtShard,
+			})
+		}
+		sum.Portfolio = ps
+	}
+	return sum
 }

@@ -1,10 +1,10 @@
 // Package server is the Picasso coloring service: an asynchronous job
 // queue with an HTTP API over the coloring core and its pluggable
 // conflict-construction backends. Clients POST a jobspec.Spec to /v1/jobs,
-// a bounded worker pool colors each job through picasso.Color /
-// picasso.ColorPauli, and clients poll /v1/jobs/{id} for live progress and
-// fetch /v1/jobs/{id}/groups for the resulting color classes (the unitary
-// groups, for Pauli inputs).
+// a bounded worker pool colors each job with one picasso.Run call, and
+// clients poll /v1/jobs/{id} for live progress and fetch
+// /v1/jobs/{id}/groups for the resulting color classes (the unitary groups,
+// for Pauli inputs).
 //
 // Job ids are deterministic — the hash of the canonical spec — so
 // resubmitting an identical job is idempotent: it joins the queued or

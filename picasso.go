@@ -13,23 +13,33 @@
 // conflict subgraph, list-colors it most-constrained-first, and recurses on
 // the vertices whose lists ran dry.
 //
-// Basic use on Pauli strings:
+// Every coloring is one Run call. Basic use on Pauli strings:
 //
 //	set, _ := picasso.ParsePauliStrings([]string{"IXYZ", "XXII", "ZZYX"})
-//	res, _ := picasso.ColorPauli(set, picasso.Normal(1))
+//	res, _ := picasso.Run(ctx, picasso.NewPauliOracle(set), picasso.Normal(1))
 //	groups := picasso.Groups(set, res.Colors)
 //
 // Basic use on any graph, via an edge oracle that is consulted on demand:
 //
 //	o := picasso.RandomGraph(100000, 0.5, 42)
-//	res, _ := picasso.Color(o, picasso.Aggressive(7))
+//	res, _ := picasso.Run(ctx, o, picasso.Aggressive(7))
+//
+// The schedule is data in Options: Stream (shards under MemoryBudgetBytes),
+// Frozen (append to a finished coloring), Resume (continue from a
+// checkpoint), Refine (claw colors back afterwards) and Portfolio (race
+// configurations and keep the best):
+//
+//	opts := picasso.Normal(1)
+//	opts.Stream, opts.MemoryBudgetBytes = true, 256<<20
+//	opts.Refine = &picasso.RefineOptions{}
+//	res, _ = picasso.Run(ctx, o, opts) // streamed, then refined
 //
 // The simulated accelerator reproduces the paper's GPU path, including its
 // memory-budget behavior:
 //
-//	opts := picasso.Normal(1)
+//	opts = picasso.Normal(1)
 //	opts.Device = picasso.NewA100()
-//	res, err := picasso.Color(o, opts) // err is OOM when the budget bursts
+//	res, err := picasso.Run(ctx, o, opts) // err is OOM when the budget bursts
 //
 // Conflict-graph construction is pluggable: Options.Backend names one of the
 // registered backends (Backends lists them — sequential, parallel, gpu,
@@ -112,10 +122,11 @@ type (
 	BatchEdgeOracle = backend.BatchEdgeOracle
 	// RunState is a serializable engine snapshot taken at stage boundaries
 	// (Options.Checkpoint). A shard-boundary snapshot (Resumable()) resumes
-	// a streamed run via ResumeStream.
+	// a streamed run as Options.Resume.
 	RunState = core.RunState
 	// RefineOptions shapes a palette-refinement pass (rounds, target color
-	// count, stall detection, per-round moved-set cap, wall-clock cap).
+	// count, stall detection, per-round moved-set cap, wall-clock cap, the
+	// pass's own memory budget).
 	RefineOptions = core.RefineOptions
 	// RefineStats is the outcome of a refinement pass: the refined coloring
 	// plus per-round and aggregate work records.
@@ -123,11 +134,14 @@ type (
 	// RefineRound records one refinement round.
 	RefineRound = core.RefineRound
 	// PortfolioOptions shapes a portfolio race (entrant count or explicit
-	// variant list, concurrency cap, automatic-refine knobs).
+	// variant list, concurrency cap, bound switch).
 	PortfolioOptions = core.PortfolioOptions
-	// PortfolioResult is a race's outcome: the winning entrant's Result plus
-	// per-entrant stats, the shared bound, and the auto-refinement.
-	PortfolioResult = core.PortfolioResult
+	// PortfolioStats records a race (Result.Portfolio): the winner,
+	// per-entrant stats and the shared bound.
+	PortfolioStats = core.PortfolioStats
+	// ScheduleError reports Options schedule fields that no single run can
+	// honor together (e.g. Frozen with Resume).
+	ScheduleError = core.ScheduleError
 	// EntrantStats describes one portfolio entrant's configuration and run.
 	EntrantStats = core.EntrantStats
 )
@@ -176,7 +190,7 @@ const (
 //	arena := picasso.NewArena()
 //	opts := picasso.Normal(1)
 //	opts.Arena = arena
-//	for _, job := range jobs { res, _ := picasso.Color(job, opts); ... }
+//	for _, job := range jobs { res, _ := picasso.Run(ctx, job, opts); ... }
 func NewArena() *Arena { return core.NewArena() }
 
 // Normal returns the paper's "Norm." configuration: palette 12.5% of |V|,
@@ -187,141 +201,59 @@ func Normal(seed int64) Options { return core.Normal(seed) }
 // α = 30 — the quality-optimal operating point.
 func Aggressive(seed int64) Options { return core.Aggressive(seed) }
 
-// Color runs Picasso on any graph presented as an edge oracle. The graph is
-// never materialized; memory stays sublinear in the edge count under the
-// paper's ∆/P assumption.
-func Color(o Oracle, opts Options) (*Result, error) {
-	return core.Color(o, opts)
+// Run colors the oracle under the schedule Options describes — one-shot,
+// streamed (Stream), appended (Frozen), resumed (Resume), raced
+// (Portfolio), each optionally followed by a refinement pass (Refine) — and
+// returns a proper coloring of every vertex. The graph is never
+// materialized; memory stays sublinear in the edge count under the paper's
+// ∆/P assumption, and ctx cancels the run within one engine stage. See
+// core.Run for the combinations it accepts.
+func Run(ctx context.Context, o Oracle, opts Options) (*Result, error) {
+	return core.Run(ctx, o, opts)
 }
 
-// ColorContext is Color with cancellation: ctx is honored at every stage
-// boundary of the staged engine (and inside the conflict builders), so a
-// cancelled run returns ctx's error within one stage instead of running to
-// completion.
+// NewPauliOracle returns the commutation-graph oracle of a Pauli-string
+// set: coloring it yields a clique partition of the anticommutation graph,
+// the unitary grouping.
+func NewPauliOracle(set *PauliSet) Oracle { return core.NewPauliOracle(set) }
+
+// ColorContext is Run with the Stream flag off.
 func ColorContext(ctx context.Context, o Oracle, opts Options) (*Result, error) {
-	return core.ColorContext(ctx, o, opts)
+	opts.Stream = false
+	return core.Run(ctx, o, opts)
 }
 
-// ColorPauli colors the commutation graph of a Pauli-string set, yielding a
-// clique partition of the anticommutation graph: the unitary grouping.
-func ColorPauli(set *PauliSet, opts Options) (*Result, error) {
-	return core.Color(core.NewPauliOracle(set), opts)
-}
-
-// ColorPauliContext is ColorPauli with cancellation (see ColorContext).
+// ColorPauliContext is ColorContext over a Pauli set's commutation graph.
 func ColorPauliContext(ctx context.Context, set *PauliSet, opts Options) (*Result, error) {
-	return core.ColorContext(ctx, core.NewPauliOracle(set), opts)
+	return ColorContext(ctx, NewPauliOracle(set), opts)
 }
 
-// Stream colors the oracle in shards against the fixed colors of the
-// already-colored prefix, so live iteration-scoped memory follows the shard
-// size (Options.ShardSize, or a size derived from
-// Options.MemoryBudgetBytes) instead of n. The result is a proper coloring
-// of the whole oracle; Options.Checkpoint observes every shard boundary
-// with a resumable RunState, and ctx cancels at any stage boundary.
+// Stream is Run with the Stream flag on.
 func Stream(ctx context.Context, o Oracle, opts Options) (*Result, error) {
-	return core.Stream(ctx, o, opts)
+	opts.Stream = true
+	return core.Run(ctx, o, opts)
 }
 
-// StreamPauli is Stream over a Pauli-string set's commutation graph.
+// StreamPauli is Stream over a Pauli set's commutation graph.
 func StreamPauli(ctx context.Context, set *PauliSet, opts Options) (*Result, error) {
-	return core.Stream(ctx, core.NewPauliOracle(set), opts)
+	return Stream(ctx, NewPauliOracle(set), opts)
 }
 
-// Extend colors the vertices [len(prev), n) of the oracle against the
-// frozen complete coloring prev of the first len(prev) vertices, without
-// recoloring them — the append operation. The returned coloring covers all
-// n vertices with prev's entries bit-identical.
-func Extend(ctx context.Context, o Oracle, prev Coloring, opts Options) (*Result, error) {
-	return core.Extend(ctx, o, prev, opts)
-}
-
-// ExtendPauli is Extend over a Pauli set that grew: strings [len(prev),
-// set.Len()) are grouped against the frozen grouping of the original
-// strings — newly arrived terms join existing unitary groups (or new ones)
-// while every old group assignment stays exactly as published.
-func ExtendPauli(ctx context.Context, set *PauliSet, prev Coloring, opts Options) (*Result, error) {
-	return core.Extend(ctx, core.NewPauliOracle(set), prev, opts)
-}
-
-// ResumeStream continues a streamed run from a shard-boundary RunState
-// captured by Options.Checkpoint, with the same oracle and Options.
-func ResumeStream(ctx context.Context, o Oracle, opts Options, st *RunState) (*Result, error) {
-	return core.ResumeStream(ctx, o, opts, st)
-}
-
-// ResumeStreamPauli is ResumeStream over a Pauli-string set's commutation
-// graph: the crash-recovery path for streamed grouping runs, continuing
-// from a persisted shard-boundary checkpoint instead of regrouping from
-// scratch. Result.ResumedShards reports how many shards the checkpoint
-// carried over.
-func ResumeStreamPauli(ctx context.Context, set *PauliSet, opts Options, st *RunState) (*Result, error) {
-	return core.ResumeStream(ctx, core.NewPauliOracle(set), opts, st)
-}
-
-// Refine improves a finished proper coloring by iteratively eliminating its
-// smallest color classes: each round dissolves the highest-numbered classes
-// and recolors their vertices into the surviving palette against the frozen
-// remainder (the streaming engine's fixed-color pass), so peak memory
-// follows the per-round moved set, never the graph. The refined coloring is
-// returned in RefineStats.Colors (prev is untouched); it stays proper, its
-// color count never increases round over round, and a fixed Options.Seed
-// makes the run deterministic. In the quantum application every eliminated
-// color is a measurement group — a family of circuit executions — saved.
+// Refine is Run with prev, a complete coloring, as Options.Frozen and ropts
+// as Options.Refine: it returns the refinement pass's record, whose Colors
+// is the refined coloring (prev is untouched).
 func Refine(ctx context.Context, o Oracle, prev Coloring, opts Options, ropts RefineOptions) (*RefineStats, error) {
-	return core.Refine(ctx, o, prev, opts, ropts)
+	opts.Frozen, opts.Refine = prev, &ropts
+	res, err := core.Run(ctx, o, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Refine, nil
 }
 
-// RefinePauli is Refine over a Pauli-string set's commutation graph: it
-// compacts an existing unitary grouping into fewer groups without ever
-// breaking the clique-partition guarantee.
+// RefinePauli is Refine over a Pauli set's commutation graph.
 func RefinePauli(ctx context.Context, set *PauliSet, prev Coloring, opts Options, ropts RefineOptions) (*RefineStats, error) {
-	return core.Refine(ctx, core.NewPauliOracle(set), prev, opts, ropts)
-}
-
-// RefineStream is the end-to-end memory-bounded quality pipeline: a
-// streamed first pass under Options.MemoryBudgetBytes / ShardSize, then a
-// refinement pass under the same Options — the coloring a one-shot run
-// could not afford, then most of the colors the memory trade gave up.
-func RefineStream(ctx context.Context, o Oracle, opts Options, ropts RefineOptions) (*Result, *RefineStats, error) {
-	return core.RefineStream(ctx, o, opts, ropts)
-}
-
-// Portfolio races entrant configurations of one coloring job — by default
-// popts.Entrants variants of opts differing in seed, list-coloring strategy,
-// shard size, and pipeline/speculate schedule — concurrently, each on its own
-// memory-metered lane, against a shared best-so-far color bound: entrant 0's
-// count is frozen into every racer as a prune ceiling on candidate colors,
-// and entrants that provably cannot beat the published best are cancelled at
-// their next shard boundary. The winner (lexicographically fewest colors,
-// ties by entrant index — deterministic for a fixed spec, never wall-clock)
-// is automatically fed through Refine. opts.MemoryBudgetBytes is the whole
-// race's budget: the returned Result's HostPeakBytes/BudgetExceeded cover all
-// lanes combined.
-func Portfolio(ctx context.Context, o Oracle, opts Options, popts PortfolioOptions) (*PortfolioResult, error) {
-	return core.Portfolio(ctx, o, opts, popts)
-}
-
-// PortfolioPauli is Portfolio over a Pauli-string set's commutation graph:
-// the racing equivalent of ColorPauli, returning the fewest unitary groups
-// any entrant found, refined.
-func PortfolioPauli(ctx context.Context, set *PauliSet, opts Options, popts PortfolioOptions) (*PortfolioResult, error) {
-	return core.Portfolio(ctx, core.NewPauliOracle(set), opts, popts)
-}
-
-// ColorStrings parses raw Pauli letter strings and colors their commutation
-// graph in one call — the submit-and-collect entry point the coloring
-// service uses for inline string payloads.
-func ColorStrings(strs []string, opts Options) (*PauliSet, *Result, error) {
-	set, err := ParsePauliStrings(strs)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := ColorPauli(set, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, res, nil
+	return Refine(ctx, NewPauliOracle(set), prev, opts, ropts)
 }
 
 // ParsePauliStrings builds a set from letter strings such as "IXYZ". All
@@ -470,9 +402,10 @@ func Verify(o Oracle, c Coloring) error { return graph.VerifyOracle(o, c) }
 // α ∈ {0.5, 1, 2, 4.5} — spanning the same (memory-lean … quality-lean)
 // range as mlpredict.DefaultPFracs/DefaultAlphas' full 9×9 grid at a
 // twentieth of the cost; cmd/trainpredictor is the entry point for full-grid
-// sweeps. The grid points run as a measurement-mode portfolio race (bounding
-// and cancellation off — every cell must complete, since the objective mixes
-// color count with conflict work) with up to GOMAXPROCS cells in flight, so
+// sweeps. The grid points run as a measurement-mode portfolio race (one-shot
+// entrants, bounding and cancellation off — every cell must complete, since
+// the objective mixes color count with conflict work) with up to GOMAXPROCS
+// cells in flight, so
 // a multi-core tune finishes in roughly the wall-clock of its slowest cell;
 // each cell's measurement is identical to the lone one-shot run the
 // historical sequential sweep made.
@@ -500,18 +433,18 @@ func Tune(o Oracle, beta float64, seed int64, backendName ...string) (Options, e
 			variants = append(variants, Options{PaletteFrac: pf, Alpha: a, Seed: seed, Backend: be})
 		}
 	}
-	pres, err := core.Portfolio(context.Background(), o, variants[0], PortfolioOptions{
+	base := variants[0]
+	base.Portfolio = &PortfolioOptions{
 		Variants:      variants,
 		MaxConcurrent: runtime.GOMAXPROCS(0),
 		DisableBound:  true,
-		OneShot:       true,
-		NoRefine:      true,
-	})
+	}
+	res, err := core.Run(context.Background(), o, base)
 	if err != nil {
 		return Options{}, fmt.Errorf("picasso: tune sweep: %w", err)
 	}
 	sweep := mlpredict.SweepResult{V: o.NumVertices()}
-	for i, e := range pres.Entrants {
+	for i, e := range res.Portfolio.Entrants {
 		sweep.Points = append(sweep.Points, mlpredict.SweepPoint{
 			PFrac:            variants[i].PaletteFrac,
 			Alpha:            variants[i].Alpha,

@@ -15,7 +15,7 @@ func TestParseAndColorPauli(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := picasso.ColorPauli(set, picasso.Aggressive(3))
+	res, err := picasso.Run(context.Background(), picasso.NewPauliOracle(set), picasso.Aggressive(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestColorRandomGraph(t *testing.T) {
 	o := picasso.RandomGraph(300, 0.5, 7)
-	res, err := picasso.Color(o, picasso.Normal(1))
+	res, err := picasso.Run(context.Background(), o, picasso.Normal(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDeviceBudget(t *testing.T) {
 	o := picasso.RandomGraph(200, 0.6, 11)
 	opts := picasso.Normal(2)
 	opts.Device = picasso.NewDevice("small", 1<<28, 0)
-	res, err := picasso.Color(o, opts)
+	res, err := picasso.Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMemoryTrackerIntegration(t *testing.T) {
 	opts := picasso.Normal(4)
 	opts.Tracker = &tr
 	o := picasso.RandomGraph(200, 0.5, 13)
-	res, err := picasso.Color(o, opts)
+	res, err := picasso.Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestEndToEndMoleculeGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := picasso.ColorPauli(set, picasso.Normal(5))
+	res, err := picasso.Run(context.Background(), picasso.NewPauliOracle(set), picasso.Normal(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestStreamedBudgetAcceptance(t *testing.T) {
 	var oneTr picasso.MemoryTracker
 	oneOpts := picasso.Normal(5)
 	oneOpts.Tracker = &oneTr
-	oneShot, err := picasso.Color(o, oneOpts)
+	oneShot, err := picasso.Run(context.Background(), o, oneOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRefineStreamedAcceptance(t *testing.T) {
 	var oneTr picasso.MemoryTracker
 	one := picasso.Normal(3)
 	one.Tracker = &oneTr
-	if _, err := picasso.Color(o, one); err != nil {
+	if _, err := picasso.Run(context.Background(), o, one); err != nil {
 		t.Fatal(err)
 	}
 	budget := oneTr.Peak() / 3
@@ -214,22 +214,26 @@ func TestRefineStreamedAcceptance(t *testing.T) {
 	opts := picasso.Normal(3)
 	opts.Tracker = &tr
 	opts.MemoryBudgetBytes = budget
-	res, st, err := picasso.RefineStream(context.Background(), o, opts, picasso.RefineOptions{})
+	opts.Stream = true
+	opts.Refine = &picasso.RefineOptions{}
+	res, err := picasso.Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := picasso.Verify(o, st.Colors); err != nil {
+	st := res.Refine
+	if err := picasso.Verify(o, res.Colors); err != nil {
 		t.Fatalf("refined coloring not proper: %v", err)
 	}
-	if st.ColorsBefore != res.NumColors {
-		t.Fatalf("refinement started from %d colors, stream produced %d", st.ColorsBefore, res.NumColors)
+	if res.NumColors != st.ColorsAfter {
+		t.Fatalf("run reports %d colors, refinement ended at %d", res.NumColors, st.ColorsAfter)
 	}
-	cut := float64(res.NumColors-st.ColorsAfter) / float64(res.NumColors)
+	streamed := st.ColorsBefore
+	cut := float64(streamed-st.ColorsAfter) / float64(streamed)
 	if cut < 0.10 {
-		t.Fatalf("refinement cut %.1f%% of %d streamed colors, want >= 10%%", 100*cut, res.NumColors)
+		t.Fatalf("refinement cut %.1f%% of %d streamed colors, want >= 10%%", 100*cut, streamed)
 	}
 	if res.HostPeakBytes > budget || st.HostPeakBytes > budget {
-		t.Fatalf("phase peaks %d/%d over budget %d", res.HostPeakBytes, st.HostPeakBytes, budget)
+		t.Fatalf("peaks %d (run) / %d (refine) over budget %d", res.HostPeakBytes, st.HostPeakBytes, budget)
 	}
 	if res.BudgetExceeded || st.BudgetExceeded {
 		t.Fatal("budget reported exceeded")
@@ -242,6 +246,6 @@ func TestRefineStreamedAcceptance(t *testing.T) {
 		prev = r.ColorsAfter
 	}
 	t.Logf("streamed: %d colors under %.2f MB budget (%d shards); refined: %d colors (-%.1f%%) in %d rounds, refine peak %.2f MB",
-		res.NumColors, float64(budget)/1e6, res.Shards,
+		streamed, float64(budget)/1e6, res.Shards,
 		st.ColorsAfter, 100*cut, st.Rounds, float64(st.HostPeakBytes)/1e6)
 }

@@ -33,13 +33,13 @@ func TestPortfolioAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	race := func() *picasso.PortfolioResult {
+	race := func() *picasso.Result {
 		ropts := opts
 		var tr picasso.MemoryTracker
 		ropts.Tracker = &tr
-		pres, err := picasso.Portfolio(ctx, o, ropts, picasso.PortfolioOptions{
-			Entrants: 8, NoRefine: true,
-		})
+		ropts.Stream = true
+		ropts.Portfolio = &picasso.PortfolioOptions{Entrants: 8}
+		res, err := picasso.Run(ctx, o, ropts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,39 +49,39 @@ func TestPortfolioAcceptance(t *testing.T) {
 		if tr.Current() != 0 {
 			t.Errorf("%d tracked bytes leaked across the race", tr.Current())
 		}
-		if pres.BudgetExceeded {
+		if res.BudgetExceeded {
 			t.Error("budget reported exceeded")
 		}
-		return pres
+		return res
 	}
 
 	first := race()
-	if err := picasso.Verify(o, first.FinalColors()); err != nil {
+	if err := picasso.Verify(o, first.Colors); err != nil {
 		t.Fatal(err)
 	}
-	if first.Result.NumColors >= single.NumColors {
+	if first.NumColors >= single.NumColors {
 		t.Errorf("portfolio winner %d colors, single-entrant run %d: not strictly fewer",
-			first.Result.NumColors, single.NumColors)
+			first.NumColors, single.NumColors)
 	}
-	if first.Entrants[0].Colors != single.NumColors {
+	if first.Portfolio.Entrants[0].Colors != single.NumColors {
 		t.Errorf("entrant 0 (%d colors) is not the single-entrant baseline (%d)",
-			first.Entrants[0].Colors, single.NumColors)
+			first.Portfolio.Entrants[0].Colors, single.NumColors)
 	}
-	if first.CancelledEntrants == 0 {
+	if first.Portfolio.CancelledEntrants == 0 {
 		t.Error("no entrant was cancelled early by the shared bound")
 	}
 
 	second := race()
-	if second.Winner != first.Winner || second.Result.NumColors != first.Result.NumColors {
+	if second.Portfolio.Winner != first.Portfolio.Winner || second.NumColors != first.NumColors {
 		t.Fatalf("race not deterministic: winner %d/%d colors vs %d/%d",
-			first.Winner, first.Result.NumColors, second.Winner, second.Result.NumColors)
+			first.Portfolio.Winner, first.NumColors, second.Portfolio.Winner, second.NumColors)
 	}
-	for v := range first.Result.Colors {
-		if second.Result.Colors[v] != first.Result.Colors[v] {
+	for v := range first.Colors {
+		if second.Colors[v] != first.Colors[v] {
 			t.Fatalf("winning coloring differs at vertex %d across repeated races", v)
 		}
 	}
 	t.Logf("single %d colors; portfolio winner %d (entrant %d), %d cancelled, %d pruned, time-to-best %v",
-		single.NumColors, first.Result.NumColors, first.Winner,
-		first.CancelledEntrants, first.BoundPrunes, first.TimeToBest)
+		single.NumColors, first.NumColors, first.Portfolio.Winner,
+		first.Portfolio.CancelledEntrants, first.Portfolio.BoundPrunes, first.Portfolio.TimeToBest)
 }
