@@ -436,13 +436,11 @@ func BenchmarkRefine(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPipelined compares the sequential, pipelined, and
-// speculative shard schedules on the streaming engine's n=20k d=0.5 shard
-// sweep: wall time, tracked host peak (two footprints in flight under
-// pipelining), and the overlap the schedule achieved (CI publishes it as
-// BENCH_pipeline.json). The coloring is asserted proper on the first
-// iteration of every variant; the pipelined variant is additionally
-// bit-identical to sequential per seed (TestStreamPipelinedAcceptance).
+// BenchmarkStreamPipelined compares the sequential and speculative shard
+// schedules on the streaming engine's n=20k d=0.5 shard sweep: wall time,
+// tracked host peak (S footprints in flight under speculation), and the
+// overlap the schedule achieved (CI publishes it as BENCH_pipeline.json).
+// The coloring is asserted proper on the first iteration of every variant.
 func BenchmarkStreamPipelined(b *testing.B) {
 	const n = 20000
 	o := picasso.RandomGraph(n, 0.5, 11)
@@ -465,7 +463,6 @@ func BenchmarkStreamPipelined(b *testing.B) {
 				b.ReportMetric(float64(tr.Peak()), "peak-B")
 				b.ReportMetric(float64(res.NumColors), "colors")
 				b.ReportMetric(res.OverlapRatio, "overlap")
-				b.ReportMetric(float64(res.PipelinedShards), "pipelined-shards")
 				b.ReportMetric(float64(res.SpeculativeConflicts), "spec-conflicts")
 			}
 		}
@@ -475,7 +472,6 @@ func BenchmarkStreamPipelined(b *testing.B) {
 		cfg  func(*picasso.Options)
 	}{
 		{"seq", func(*picasso.Options) {}},
-		{"pipe", func(o *picasso.Options) { o.PipelineShards = true }},
 		{"spec", func(o *picasso.Options) { o.Speculate = 3 }},
 	}
 	for _, shard := range []int{2500, 5000, 10000} {

@@ -53,8 +53,7 @@ func main() {
 		maxVerts   = flag.Int("max-vertices", 1<<20, "reject jobs larger than this many vertices")
 		backend    = flag.String("backend", "", "default conflict-build backend for specs that leave it empty")
 		budget     = flag.String("budget", "", "default per-job host-memory budget for specs without one, e.g. 512MiB")
-		pipeline   = flag.Bool("pipeline", false, "pipeline streamed jobs that set neither pipeline nor speculate")
-		speculate  = flag.Int("speculate", 0, "speculative lanes for streamed jobs that set neither knob (>=2)")
+		speculate  = flag.Int("speculate", 0, "speculative lanes for streamed jobs that leave speculate unset (>=2)")
 		raceN      = flag.Int("race-entrants", 0, "race streamed jobs without a portfolio block as a portfolio of this many entrants (>=2)")
 		maxRace    = flag.Int("max-race-entrants", 0, "reject portfolio specs wider than this (0 = library cap)")
 		artDir     = flag.String("artifact-dir", "", "persist finished jobs as .pic artifacts here; the result cache gains a disk tier that survives restarts and a job journal that resumes interrupted work")
@@ -81,7 +80,6 @@ func main() {
 		MaxVertices:        *maxVerts,
 		DefaultBackend:     *backend,
 		DefaultBudgetBytes: budgetB,
-		DefaultPipeline:    *pipeline,
 		DefaultSpeculate:   *speculate,
 		DefaultEntrants:    *raceN,
 		MaxEntrants:        *maxRace,

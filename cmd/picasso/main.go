@@ -72,7 +72,6 @@ func main() {
 		stream   = flag.Bool("stream", false, "color in shards with the partitioned streaming engine")
 		shard    = flag.Int("shard", 0, "streaming shard size (0 = derive from -budget; implies -stream)")
 		budget   = flag.String("budget", "", "host-memory budget, e.g. 512MiB or 2GB (implies -stream)")
-		pipeline = flag.Bool("pipeline", false, "overlap each shard's build with its predecessor's coloring (implies -stream)")
 		specul   = flag.Int("speculate", 0, "color this many shards concurrently with cross-shard repair (>=2; implies -stream)")
 		raceN    = flag.Int("race-entrants", 0, "race this many entrant configurations (seed/strategy/shard/schedule variants) and keep the fewest-color winner (>=2; implies -stream)")
 		deadline = flag.String("deadline", "", "wall-clock limit on the run, e.g. 90s or 5m (empty = none)")
@@ -102,7 +101,6 @@ func main() {
 		Stream:    *stream,
 		Shard:     *shard,
 		Budget:    *budget,
-		Pipeline:  *pipeline,
 		Speculate: *specul,
 		Deadline:  *deadline,
 	}
@@ -257,10 +255,6 @@ func main() {
 	fmt.Printf("host peak memory (tracked): %.2f MB\n", float64(res.HostPeakBytes)/1e6)
 	if res.Shards > 0 {
 		fmt.Printf("streamed: %d shards, %d cross-frontier pair tests\n", res.Shards, res.FixedPairsTested)
-		if res.PipelinedShards > 0 {
-			fmt.Printf("pipelined: %d shards overlapped, %.0f%% of build time hidden\n",
-				res.PipelinedShards, 100*res.OverlapRatio)
-		}
 		if spec.Speculate >= 2 {
 			fmt.Printf("speculated: %d lanes, %d cross-shard conflicts repaired (%d recolored in palette, %.0f%% of lane time hidden)\n",
 				spec.Speculate, res.SpeculativeConflicts, res.RepairRecolors, 100*res.OverlapRatio)

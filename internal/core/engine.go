@@ -87,19 +87,16 @@ func (s *RunState) validate(n int) error {
 	return nil
 }
 
-// engine is the staged execution state of one run. tr is the engine's
-// allocation sink — the run tracker in sequential modes, a per-lane child
-// of it while a pipelined unit executes — while root always points at the
-// run tracker itself: peaks, budget verdicts and run-level charges (the
-// color array) live there. builder is the conflict builder the current unit
-// builds with; the pipelined stream rotates it together with the arena.
+// engine is the staged execution state of one run. tr is the run's tracker:
+// every charge, the peak and the budget verdict live there (a speculative
+// lane's engine gets the lane's child tracker). builder is the conflict
+// builder the engine's units build with.
 type engine struct {
 	ctx     context.Context
 	o       graph.Oracle
 	opts    *Options
 	ar      *Arena
 	tr      *memtrack.Tracker
-	root    *memtrack.Tracker
 	builder backend.ConflictBuilder
 	res     *Result
 
@@ -149,12 +146,12 @@ func newEngine(ctx context.Context, o graph.Oracle, opts *Options, streamed bool
 	n := o.NumVertices()
 	e := &engine{
 		ctx: ctx, o: o, opts: opts, ar: opts.Arena,
-		tr: opts.Tracker, root: opts.Tracker, builder: opts.Builder,
+		tr: opts.Tracker, builder: opts.Builder,
 		n: n, streamed: streamed, tStart: time.Now(),
 		colors: graph.NewColoring(n),
 	}
 	e.res = &Result{Colors: e.colors}
-	e.root.Alloc(int64(n) * 4) // the persistent color array
+	e.tr.Alloc(int64(n) * 4) // the persistent color array
 	if !streamed {
 		e.rng = rand.New(rand.NewSource(opts.Seed))
 	}
@@ -236,57 +233,11 @@ func (e *engine) runUnit() error {
 	return nil
 }
 
-// prepared carries the products of an iteration's assign and build stages
-// (plus however much of the fixed-color frontier pass has run) between
-// prepareIter and finishIter. The release closures capture the tracker that
-// charged each product at prepare time, so the charges balance no matter
-// which goroutine — or which engine tracker configuration — finishes the
-// iteration: that is what lets a pipelined stream prepare shard k+1 on a
-// lane tracker while shard k still colors.
-type prepared struct {
-	cl        *colorLists
-	conf      *backend.ConflictGraph
-	bst       backend.Stats
-	forbidden []bool
-	fixedTo   int // frontier prefix already folded into forbidden
-	st        IterStats
-
-	releaseList func()
-	releaseMask func()
-	releaseHost func()
-}
-
-// release drops every live charge a prepared iteration still holds; used on
-// error paths and when a speculative build is discarded.
-func (p *prepared) release() {
-	p.releaseMask()
-	p.releaseList()
-	p.releaseHost()
-}
-
 // iterate runs one iteration of Algorithm 1 as four explicit stages, with a
-// cancellation check at every boundary. The assign/build half and the
-// color/compact half are separate methods so the pipelined stream can
-// overlap them across shards; run back to back with the full frontier as
-// the prefix they reproduce the historical monolithic loop exactly.
+// cancellation check at every boundary.
 func (e *engine) iterate() error {
-	p, err := e.prepareIter(e.fixedEnd)
-	if err != nil {
-		return err
-	}
-	return e.finishIter(p)
-}
-
-// prepareIter runs stages 1–2 (assign + conflict build) plus the
-// fixed-color pass over the frontier prefix [0, prefix). Both stages depend
-// only on the unit RNG and on colors below prefix, so a prepare against the
-// frontier frozen at a predecessor shard's start can safely overlap that
-// shard's coloring; finishIter later folds in whatever the frontier gained
-// since. Charges land on e.tr as it is *now* (the lane tracker during a
-// pipelined prebuild) and are released through the prepared closures.
-func (e *engine) prepareIter(prefix int) (*prepared, error) {
 	if err := backend.Cancelled(e.ctx); err != nil {
-		return nil, err
+		return err
 	}
 	e.iter++
 	m := len(e.active)
@@ -303,46 +254,47 @@ func (e *engine) prepareIter(prefix int) (*prepared, error) {
 	if e.streamed {
 		st.Shard = e.shardIdx + 1
 	}
-	tr := e.tr
 
 	// Stage 1 — assign: random candidate lists (line 6).
 	t0 := time.Now()
 	cl := assignRandomLists(m, P, L, e.rng, e.ar)
 	st.AssignTime = time.Since(t0)
-	listRelease := tr.Scoped(cl.Bytes())
+	listRelease := e.tr.Scoped(cl.Bytes())
 	if err := backend.Cancelled(e.ctx); err != nil {
 		listRelease()
-		return nil, err
+		return err
 	}
 
 	// Stage 2 — build: the conflict subgraph via the configured backend
 	// (line 7), then — streamed units only — the fixed-color pass pruning
-	// candidates against the frozen frontier prefix. The iteration-local
-	// view is a zero-cost identity/range view on first iterations and a
-	// compacted sub-view (charged while it lives) afterwards.
+	// candidates against the frozen frontier. The iteration-local view is a
+	// zero-cost identity/range view on first iterations and a compacted
+	// sub-view (charged while it lives) afterwards.
 	t1 := time.Now()
 	eo := e.edgeView()
-	subRelease := tr.Scoped(subViewBytes(eo))
-	conf, bst, err := e.builder.Build(e.ctx, eo, cl, tr)
-	if err != nil {
-		subRelease()
-		listRelease()
-		return nil, fmt.Errorf("core: iteration %d: %w", e.iter, err)
-	}
+	subRelease := e.tr.Scoped(subViewBytes(eo))
+	conf, bst, err := e.builder.Build(e.ctx, eo, cl, e.tr)
 	subRelease()
-	hostRelease := func() { tr.Free(bst.HostBytes) }
+	if err != nil {
+		listRelease()
+		return fmt.Errorf("core: iteration %d: %w", e.iter, err)
+	}
+	// release drops the charges the iteration holds until its color stage
+	// is done: the forbidden mask (once armed), the lists and the builder's
+	// host bytes.
 	var forbidden []bool
 	maskRelease := func() {}
+	release := func() {
+		maskRelease()
+		listRelease()
+		e.tr.Free(bst.HostBytes)
+	}
 	if e.streamed && (e.fixedEnd > 0 || e.pruneBound() > 0) {
 		forbidden = e.ar.forbidBuf(m * L)
-		maskRelease = tr.Scoped(int64(m * L))
-		if prefix > 0 {
-			if err := e.fixedPassRange(cl, forbidden, &st, 0, prefix); err != nil {
-				maskRelease()
-				listRelease()
-				hostRelease()
-				return nil, err
-			}
+		maskRelease = e.tr.Scoped(int64(m * L))
+		if err := e.fixedPass(cl, forbidden, &st); err != nil {
+			release()
+			return err
 		}
 		// Portfolio bound: forbid every slot whose global color would land at
 		// or above the best coloring already found — a candidate up there can
@@ -365,34 +317,8 @@ func (e *engine) prepareIter(prefix int) (*prepared, error) {
 	st.PairsTested = bst.PairsTested
 	st.CSROnDevice = bst.OnDevice
 	st.DevicePeakBytes = bst.DevicePeakBytes
-	return &prepared{
-		cl: cl, conf: conf, bst: bst, forbidden: forbidden, fixedTo: prefix, st: st,
-		releaseList: listRelease, releaseMask: maskRelease, releaseHost: hostRelease,
-	}, nil
-}
-
-// finishIter completes an iteration from its prepared build: the fixed-pass
-// delta over frontier growth since prepare, then stages 3–4. Forbid marks
-// only ever accumulate, so prefix-pass ∪ delta-pass equals the sequential
-// single pass bit for bit — the coloring (and the RNG stream it consumes)
-// cannot tell the two schedules apart.
-func (e *engine) finishIter(p *prepared) error {
-	cl, conf := p.cl, p.conf
-	forbidden := p.forbidden
-	st := p.st
-	m := len(e.active)
-	L := cl.L
-	P := cl.P
-	if forbidden != nil && p.fixedTo < e.fixedEnd {
-		t1 := time.Now()
-		if err := e.fixedPassRange(cl, forbidden, &st, p.fixedTo, e.fixedEnd); err != nil {
-			p.release()
-			return err
-		}
-		st.BuildTime += time.Since(t1)
-	}
 	if err := backend.Cancelled(e.ctx); err != nil {
-		p.release()
+		release()
 		return err
 	}
 
@@ -479,9 +405,7 @@ func (e *engine) finishIter(p *prepared) error {
 	// not yet reached (the unit's own colored count is end−start−failed).
 	st.Uncolored = e.n - e.end + len(failed)
 	st.ColorTime = time.Since(t2)
-	p.releaseMask()
-	p.releaseList()
-	p.releaseHost()
+	release()
 
 	// Stage 4 — compact: recurse on the failed vertices with a fresh
 	// palette (lines 11–12), record the iteration, notify observers.
@@ -534,21 +458,18 @@ func (e *engine) edgeView() edgeOracle {
 	return newEdgeOracle(e.o, e.active, false, e.ar)
 }
 
-// fixedPassRange marks, for every active vertex and candidate-list slot,
+// fixedPass marks, for every active vertex and candidate-list slot,
 // whether the slot's color is already held by an adjacent frozen vertex in
-// the frontier range [from, to). Sequential units pass the whole frontier;
-// the pipelined stream splits it into an overlapped prefix pass and a
-// post-adoption delta pass — marks only ever accumulate, so the split
-// produces the same mask as the single pass. The frontier is indexed chunk
-// by chunk so the pass's live memory stays O(B) regardless of how much of
-// the graph is already colored; each chunk's index and staging are charged
-// to the tracker while they live. The price of that bound is a linear
-// window-filter scan of the frontier range per iteration (two compares per
-// frozen vertex): a per-shard index over all frontier colors would amortize
-// the scan across the shard's iterations but hold O(fixedEnd) ≈ O(n) live —
+// the frontier [0, fixedEnd). The frontier is indexed chunk by chunk so the
+// pass's live memory stays O(B) regardless of how much of the graph is
+// already colored; each chunk's index and staging are charged to the
+// tracker while they live. The price of that bound is a linear
+// window-filter scan of the frontier per iteration (two compares per frozen
+// vertex): a per-shard index over all frontier colors would amortize the
+// scan across the shard's iterations but hold O(fixedEnd) ≈ O(n) live —
 // exactly what streaming exists to avoid — so the scan is the deliberate
 // trade.
-func (e *engine) fixedPassRange(cl *colorLists, forbidden []bool, st *IterStats, from, to int) error {
+func (e *engine) fixedPass(cl *colorLists, forbidden []bool, st *IterStats) error {
 	P := int32(cl.P)
 	cross := newCrossOracle(e.o, e.active)
 	chunk := e.end - e.start
@@ -560,10 +481,10 @@ func (e *engine) fixedPassRange(cl *colorLists, forbidden []bool, st *IterStats,
 	if chunk < 4096 {
 		chunk = 4096
 	}
-	for lo := from; lo < to; lo += chunk {
+	for lo := 0; lo < e.fixedEnd; lo += chunk {
 		hi := lo + chunk
-		if hi > to {
-			hi = to
+		if hi > e.fixedEnd {
+			hi = e.fixedEnd
 		}
 		ids, cols := e.ar.fixedBufs()
 		for v := lo; v < hi; v++ {
@@ -655,7 +576,7 @@ func (e *engine) snapshot() RunState {
 		Base:           e.base,
 		Ceil:           e.ceil,
 		Fallback:       e.res.Fallback,
-		BudgetExceeded: e.priorExceeded || e.root.OverBudget(),
+		BudgetExceeded: e.priorExceeded || e.tr.OverBudget(),
 		Active:         append([]int32(nil), e.active...),
 		Colors:         append([]int32(nil), e.colors...),
 	}
@@ -668,13 +589,13 @@ func (e *engine) finish() *Result {
 	}
 	e.res.NumColors = e.colors.NumColors()
 	e.res.TotalTime = time.Since(e.tStart)
-	e.res.HostPeakBytes = e.root.Peak()
-	e.res.BudgetExceeded = e.priorExceeded || e.root.OverBudget()
-	e.root.Free(int64(e.n) * 4)
+	e.res.HostPeakBytes = e.tr.Peak()
+	e.res.BudgetExceeded = e.priorExceeded || e.tr.OverBudget()
+	e.tr.Free(int64(e.n) * 4)
 	return e.res
 }
 
 // abort releases the color-array charge of a run that returns an error.
 func (e *engine) abort() {
-	e.root.Free(int64(e.n) * 4)
+	e.tr.Free(int64(e.n) * 4)
 }

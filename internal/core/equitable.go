@@ -1,7 +1,7 @@
 // The equitable coloring variant: same palette machinery, two additions.
 // While coloring, every candidate pick is biased toward the feasible color
 // whose class is currently smallest (classBalance, consulted at all four
-// pick sites — the direct picks in finishIter and both conflict-graph
+// pick sites — the direct picks in iterate and both conflict-graph
 // colorers), so classes grow in lockstep instead of first-come-first-fat.
 // After the run, balanceColors merges classes with no cross edges and moves
 // vertices from the largest classes into the smallest until the sizes are
@@ -19,7 +19,7 @@ import (
 // engine unit. It is rebuilt at unit start from the frozen frontier
 // [0, fixedEnd) — the only colors a unit may read; in speculative execution
 // each lane keeps its own instance, so lanes never observe each other —
-// and incremented at pick time, never in setColor: finishIter copies the
+// and incremented at pick time, never in setColor: iterate copies the
 // conflict colorer's assignments through setColor after the colorer already
 // counted them, so counting there would double. The table is O(colors
 // used) and deliberately outside the memory tracker, like the RNG and the

@@ -67,9 +67,9 @@ var invSchedules = []invSchedule{
 	{"one-shot", true, false},
 	{"stream", true, true},
 	{"stream-budget", false, false},
-	{"pipeline", true, true},
 	{"speculate-2", true, true},
 	{"speculate-3", true, true},
+	{"speculate-fallback", true, true},
 	{"append", true, true},
 	{"refine", true, false},
 	{"portfolio", true, false},
@@ -138,11 +138,14 @@ func (h *invHarness) options(t *testing.T, c invCase) Options {
 	case "stream-budget":
 		opts.Stream = true
 		opts.MemoryBudgetBytes = h.run(t, c.with(invSequential, "one-shot")).tr.Peak() / 3
-	case "pipeline":
-		opts.Stream, opts.ShardSize, opts.PipelineShards = true, invShard, true
 	case "speculate-2", "speculate-3":
 		opts.Stream, opts.ShardSize = true, invShard
 		opts.Speculate = int(c.schedule[len(c.schedule)-1] - '0')
+	case "speculate-fallback":
+		// Two lanes asked for under a budget that fits one worst-case shard
+		// and not two: the lane governor runs the sequential loop.
+		opts.Stream, opts.ShardSize, opts.Speculate = true, invShard, 2
+		opts.MemoryBudgetBytes = shardFootprint(&opts, invInputs[c.input].o, invN, invShard) * 3 / 2
 	case "append":
 		// The last shard's worth of vertices appended, in two shards, behind
 		// the one-shot coloring of the rest (proper on the prefix, as any
@@ -164,7 +167,7 @@ func (h *invHarness) options(t *testing.T, c invCase) Options {
 // invDigest is the deterministic part of a Result: everything but timings,
 // memory peaks and the portfolio's entrant records (see sameEntrants).
 type invDigest struct {
-	NumColors, Iters, Shards, PipelinedShards  int
+	NumColors, Iters, Shards                   int
 	SpeculativeConflicts, RepairRecolors       int
 	TotalPairsTested, FixedPairsTested         int64
 	TotalConflictEdges, MaxConflictEdges       int64
@@ -179,10 +182,10 @@ type invDigest struct {
 func digest(res *Result) invDigest {
 	d := invDigest{
 		NumColors: res.NumColors, Iters: len(res.Iters), Shards: res.Shards,
-		PipelinedShards: res.PipelinedShards, SpeculativeConflicts: res.SpeculativeConflicts,
-		RepairRecolors: res.RepairRecolors, TotalPairsTested: res.TotalPairsTested,
-		FixedPairsTested: res.FixedPairsTested, TotalConflictEdges: res.TotalConflictEdges,
-		MaxConflictEdges: res.MaxConflictEdges, BoundPrunes: res.BoundPrunes, Fallback: res.Fallback,
+		SpeculativeConflicts: res.SpeculativeConflicts, RepairRecolors: res.RepairRecolors,
+		TotalPairsTested: res.TotalPairsTested, FixedPairsTested: res.FixedPairsTested,
+		TotalConflictEdges: res.TotalConflictEdges, MaxConflictEdges: res.MaxConflictEdges,
+		BoundPrunes: res.BoundPrunes, Fallback: res.Fallback,
 	}
 	if p := res.Portfolio; p != nil {
 		d.Winner, d.Bound = p.Winner, p.Bound
@@ -232,7 +235,7 @@ func sameEntrants(got, want *Result) error {
 //   - with fixed shard boundaries the coloring and its work equal the
 //     sequential backend's (the paper's §VII-B1: randomness comes after a
 //     deterministic conflict graph);
-//   - pipeline equals stream at a fixed ShardSize;
+//   - speculation the budget holds to one lane equals the stream;
 //   - resuming from every JSON-round-tripped checkpoint equals the
 //     uninterrupted run;
 //   - peak ≤ budget or BudgetExceeded is set, and no tracked bytes remain;
@@ -260,8 +263,11 @@ func TestStreamProperColoringEveryBackend(t *testing.T) {
 	invariants(t, (*invHarness).check, "stream")
 }
 
+// The lane governor's fallback keeps the concurrent-shard contract: a
+// stream asked to run shards concurrently but held to one lane by its
+// budget is the plain stream, bit for bit, on every backend.
 func TestStreamPipelinedBitIdenticalEveryBackend(t *testing.T) {
-	invariants(t, (*invHarness).check, "pipeline")
+	invariants(t, (*invHarness).check, "speculate-fallback")
 }
 
 func TestStreamSpeculativeProperDeterministicEveryBackend(t *testing.T) {
@@ -281,7 +287,7 @@ func TestStreamCheckpointResumeDeterminism(t *testing.T) {
 }
 
 func TestStreamPipelinedCheckpointResume(t *testing.T) {
-	invariants(t, (*invHarness).checkResume, "pipeline")
+	invariants(t, (*invHarness).checkResume, "speculate-fallback")
 }
 
 func TestStreamSpeculativeCheckpointResume(t *testing.T) {
@@ -427,14 +433,13 @@ func (h *invHarness) checkResume(t *testing.T, c invCase, sched invSchedule) {
 		if len(r.ckpts) != 0 {
 			t.Errorf("one-shot run published %d checkpoints", len(r.ckpts))
 		}
-	case "stream", "stream-budget", "pipeline", "append":
+	case "stream", "stream-budget", "speculate-fallback", "append":
 		if len(r.ckpts) != res.Shards {
 			t.Errorf("%d checkpoints for %d shards", len(r.ckpts), res.Shards)
 		}
-		// Identical boundaries: resuming a pipelined checkpoint without
-		// pipelining is the stream's own resume.
-		if c.schedule == "pipeline" && !reflect.DeepEqual(r.ckpts, h.run(t, c.with(c.backend, "stream")).ckpts) {
-			t.Error("checkpoints differ from the unpipelined stream's")
+		// One lane publishes the stream's own boundaries.
+		if c.schedule == "speculate-fallback" && !reflect.DeepEqual(r.ckpts, h.run(t, c.with(c.backend, "stream")).ckpts) {
+			t.Error("checkpoints differ from the stream's")
 		}
 	case "speculate-2", "speculate-3":
 		// One checkpoint per fully repaired group of S shards.
@@ -515,25 +520,25 @@ func (h *invHarness) checkSchedule(t *testing.T, c invCase, r *invRun) {
 		if res.Shards < 2 {
 			t.Errorf("budget %d below the one-shot peak made %d shard(s)", r.opts.MemoryBudgetBytes, res.Shards)
 		}
-	case "pipeline":
-		shards(invN / invShard)
-		underBudget()
-		// Every shard but the first prebuilds while its predecessor colors.
-		if res.PipelinedShards != res.Shards-1 {
-			t.Errorf("PipelinedShards = %d, want %d", res.PipelinedShards, res.Shards-1)
-		}
-		if res.OverlapRatio < 0 || res.OverlapRatio > 1 {
-			t.Errorf("overlap ratio %v outside [0, 1]", res.OverlapRatio)
-		}
-		stream := h.run(t, c.with(c.backend, "stream"))
-		if err := sameColoring(res.Colors, stream.res.Colors); err != nil {
-			t.Errorf("vs the unpipelined stream: %v", err)
-		}
 	case "speculate-2", "speculate-3":
 		shards(invN / invShard)
 		underBudget()
 		if res.RepairRecolors > res.SpeculativeConflicts {
 			t.Errorf("%d repair recolors out of %d conflicts", res.RepairRecolors, res.SpeculativeConflicts)
+		}
+	case "speculate-fallback":
+		shards(invN / invShard)
+		underBudget()
+		if res.SpeculativeConflicts != 0 || res.OverlapRatio != 0 {
+			t.Errorf("%d speculative conflicts, overlap ratio %v: the run speculated",
+				res.SpeculativeConflicts, res.OverlapRatio)
+		}
+		stream := h.run(t, c.with(c.backend, "stream")).res
+		if err := sameColoring(res.Colors, stream.Colors); err != nil {
+			t.Errorf("vs the stream: %v", err)
+		}
+		if d, want := digest(res), digest(stream); d != want {
+			t.Errorf("digest %+v, stream %+v", d, want)
 		}
 	case "append":
 		shards(2)

@@ -55,23 +55,16 @@
 // run history. Snapshots own their slices, so holding or serializing one is
 // always safe.
 //
-// # Concurrent shard schedules
+// # Speculative shard execution
 //
-// An iteration splits at a second seam: prepareIter runs the
-// frontier-independent half (assign + conflict build + the fixed pass over
-// a frozen prefix) and finishIter the frontier-dependent rest (the delta
-// fixed pass, coloring, compaction). A streamed run exploits it two ways,
-// each on per-lane resources (arena, conflict builder, child memtrack of
-// the run's root — the root's peak covers the lanes combined). Options.PipelineShards
-// prepares shard k+1 while shard k colors (pipeline.go): bit-identical to
-// the sequential stream for a fixed ShardSize, since forbid marks only
-// accumulate and shard randomness is (Seed, start)-keyed. Options.Speculate
-// colors S shards concurrently against the same frozen frontier and then
-// repairs cross-shard collisions canonically (speculate.go): proper and
-// deterministic per seed, not bit-identical. Both degrade to the
-// sequential loop when the budget cannot hold the combined footprints,
-// keep every published checkpoint resumable, and cancel at the same stage
-// boundaries.
+// Options.Speculate colors S shards of a streamed run concurrently against
+// the same frozen frontier and then repairs cross-shard collisions
+// canonically (speculate.go), each lane on its own resources (arena,
+// conflict builder, child memtrack of the run's tracker — whose peak covers
+// the lanes combined). The result is proper and deterministic per seed, not
+// bit-identical to the sequential stream. It degrades to the sequential
+// loop when the budget cannot hold the combined footprints, keeps every
+// published checkpoint resumable, and cancels at the same stage boundaries.
 package core
 
 import (
@@ -237,29 +230,15 @@ type Options struct {
 	// per-iteration observability is Progress's job). One-shot runs never
 	// checkpoint. Called synchronously from the coloring goroutine.
 	Checkpoint func(RunState)
-	// PipelineShards, when true, overlaps streamed shards: while shard k is
-	// in its color stage, shard k+1 runs its build stage (candidate lists,
-	// conflict subgraph, fixed-color pass against the frontier frozen at
-	// shard k's start) on a second arena. With a fixed ShardSize the
-	// coloring is bit-identical to the sequential stream — the overlapped
-	// work is frontier-independent, and the grown frontier is folded in as
-	// a delta pass before coloring — so pipelining is purely a wall-clock
-	// knob. Budget accounting covers both in-flight shards; when
-	// MemoryBudgetBytes cannot fit two worst-case shards the run falls back
-	// to sequential execution (Result.PipelinedShards reports 0). Ignored
-	// by one-shot runs, and by runs that inject an explicit Builder (a
-	// single builder instance cannot serve two arenas).
-	PipelineShards bool
 	// Speculate, when ≥ 2, colors up to that many streamed shards
 	// concurrently against the same frozen frontier, then repairs
 	// cross-shard collisions: lane by lane (canonical ascending order),
 	// colliding vertices are detected with the batched fixed-bucket scan
 	// and recolored against the frozen remainder by the refinement
-	// machinery. The result is proper and deterministic per seed, but —
-	// unlike PipelineShards — not bit-identical to the sequential stream
-	// (later lanes cannot see earlier lanes' colors while coloring).
-	// Checkpoints land only at fully repaired group boundaries. 0 and 1
-	// disable; takes precedence over PipelineShards. The budget governor
+	// machinery. The result is proper and deterministic per seed, but not
+	// bit-identical to the sequential stream (later lanes cannot see
+	// earlier lanes' colors while coloring). Checkpoints land only at fully
+	// repaired group boundaries. 0 and 1 disable. The budget governor
 	// reduces the lane count (down to sequential) when MemoryBudgetBytes
 	// cannot fit that many worst-case shards. Requires an oracle that is
 	// safe for concurrent readers (every built-in oracle is).
@@ -276,8 +255,8 @@ type Options struct {
 	pruneBound int32
 	// builderInjected remembers that the caller supplied Builder explicitly
 	// (set by validate): a single injected instance is bound to one arena,
-	// so concurrent stream lanes cannot be derived from it and pipelining /
-	// speculation fall back to sequential execution.
+	// so concurrent stream lanes cannot be derived from it and speculation
+	// falls back to sequential execution.
 	builderInjected bool
 }
 
@@ -400,21 +379,14 @@ type ScheduleError struct{ Conflict string }
 func (e *ScheduleError) Error() string { return "core: schedule conflict: " + e.Conflict }
 
 // streamLanes reports how many stream units the options allow in flight at
-// once: Speculate lanes, 2 for pipelining, 1 otherwise. An injected Builder
-// forces 1 — it is bound to a single arena and cannot be cloned for a
-// second lane. The budget governor may reduce the answer further
-// (streamRun).
+// once: Speculate lanes, 1 otherwise. An injected Builder forces 1 — it is
+// bound to a single arena and cannot be cloned for a second lane. The
+// budget governor may reduce the answer further (streamRun).
 func (o *Options) streamLanes() int {
-	if o.builderInjected {
+	if o.builderInjected || o.Speculate < 2 {
 		return 1
 	}
-	if o.Speculate >= 2 {
-		return o.Speculate
-	}
-	if o.PipelineShards {
-		return 2
-	}
-	return 1
+	return o.Speculate
 }
 
 // paletteFor computes the iteration's palette size Pℓ for n active vertices.

@@ -61,13 +61,9 @@ type Result struct {
 	// checkpoint instead of being recolored (0 for fresh runs): the work a
 	// crash would otherwise have thrown away.
 	ResumedShards int
-	// PipelinedShards counts the stream units whose build stage actually
-	// overlapped a predecessor's coloring (0 when pipelining was off, fell
-	// back to sequential under the budget governor, or never got to overlap).
-	PipelinedShards int
-	// OverlapRatio is the fraction of total prebuild time hidden behind
-	// concurrent coloring in a pipelined run (0 when not pipelined): 1.0
-	// means every build finished before its adopter asked for it.
+	// OverlapRatio is the fraction of a speculative run's summed lane time
+	// hidden behind a longer concurrent lane — per group, the lanes' total
+	// minus the longest lane — and 0 for runs that never speculated.
 	OverlapRatio float64
 	// SpeculativeConflicts counts vertices that lost a cross-shard collision
 	// between speculatively colored shards and were sent to repair.

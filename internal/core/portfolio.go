@@ -1,5 +1,5 @@
 // Portfolio racing: run N entrant configurations of the same coloring job —
-// varying seed, list-coloring strategy, shard size, and pipeline/speculate
+// varying seed, list-coloring strategy, shard size, and speculative
 // schedule — and keep the best coloring. The engine is deterministic per
 // seed, so every entrant's coloring is a pure function of its Options; the
 // race only decides how much wall-clock the portfolio spends, never which
@@ -9,7 +9,7 @@
 // base configuration — alone, and publishes its color count as the initial
 // shared bound. Phase B races the remaining entrants concurrently, each on
 // its own lane (private arena + builder + memtrack.Child of the portfolio
-// root, the same per-lane pattern the pipelined stream uses), with the
+// root, the same per-lane pattern speculative streams use), with the
 // phase-A bound frozen into each entrant as a prune ceiling: candidate slots
 // at or above it are forbidden in the fixed-color mask path, concentrating
 // every racer on colorings that can still win. Freezing the prune bound per
@@ -165,7 +165,6 @@ type EntrantStats struct {
 	Seed      int64
 	Strategy  ListStrategy
 	ShardSize int // 0 = budget-derived
-	Pipeline  bool
 	Speculate int
 
 	Colors           int   // final color count (0 when cancelled)
@@ -206,9 +205,9 @@ type PortfolioStats struct {
 // Entrant 0 is the base itself — the phase-A baseline, bit-identical to the
 // single run the spec would otherwise have made. Later entrants perturb the
 // seed and rotate through the list-coloring strategies, shard sizes (halved
-// every other entrant when the base fixes one), and the pipeline/speculate
-// schedules, purely as a function of the index — the same spec always races
-// the same field.
+// every other entrant when the base fixes one), and the sequential and
+// speculative schedules, purely as a function of the index — the same spec
+// always races the same field.
 func DefaultVariants(base Options, n int) []Options {
 	strategies := [...]ListStrategy{
 		DynamicBuckets, DynamicBuckets, StaticLargest, DynamicBuckets,
@@ -225,10 +224,8 @@ func DefaultVariants(base Options, n int) []Options {
 				v.ShardSize = half
 			}
 		}
-		v.PipelineShards = i%3 == 2
 		if i%5 == 4 {
 			v.Speculate = 2
-			v.PipelineShards = false
 		} else {
 			v.Speculate = 0
 		}
@@ -247,11 +244,8 @@ func entrantName(v *Options) string {
 	if v.ShardSize > 0 {
 		name += fmt.Sprintf(" shard=%d", v.ShardSize)
 	}
-	switch {
-	case v.Speculate >= 2:
+	if v.Speculate >= 2 {
 		name += fmt.Sprintf(" spec=%d", v.Speculate)
-	case v.PipelineShards:
-		name += " pipe"
 	}
 	return name
 }
@@ -309,7 +303,7 @@ func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, erro
 		v := &variants[i]
 		stats[i] = EntrantStats{
 			Index: i, Name: entrantName(v), Seed: v.Seed, Strategy: v.Strategy,
-			ShardSize: v.ShardSize, Pipeline: v.PipelineShards, Speculate: v.Speculate,
+			ShardSize: v.ShardSize, Speculate: v.Speculate,
 		}
 	}
 

@@ -280,8 +280,8 @@ func TestPortfolioBoundPrunesObserved(t *testing.T) {
 func TestDefaultVariantsDeterministic(t *testing.T) {
 	base := Normal(11)
 	base.ShardSize = 1000
-	key := func(v Options) [6]interface{} {
-		return [6]interface{}{v.Seed, v.Strategy, v.ShardSize, v.PipelineShards, v.Speculate, v.PaletteFrac}
+	key := func(v Options) [5]interface{} {
+		return [5]interface{}{v.Seed, v.Strategy, v.ShardSize, v.Speculate, v.PaletteFrac}
 	}
 	a, b := DefaultVariants(base, 8), DefaultVariants(base, 8)
 	if key(a[0]) != key(base) {
@@ -303,14 +303,10 @@ func TestDefaultVariantsDeterministic(t *testing.T) {
 		}
 	}
 	// The rotation must actually vary strategy and schedule across 8 entrants.
-	strategies, schedules := map[ListStrategy]bool{}, map[[2]int]bool{}
+	strategies, schedules := map[ListStrategy]bool{}, map[int]bool{}
 	for _, v := range a {
 		strategies[v.Strategy] = true
-		sched := [2]int{v.Speculate, 0}
-		if v.PipelineShards {
-			sched[1] = 1
-		}
-		schedules[sched] = true
+		schedules[v.Speculate] = true
 	}
 	if len(strategies) < 2 || len(schedules) < 2 {
 		t.Fatalf("8 variants span %d strategies and %d schedules", len(strategies), len(schedules))

@@ -24,7 +24,37 @@ import (
 
 	"picasso/internal/backend"
 	"picasso/internal/graph"
+	"picasso/internal/memtrack"
 )
+
+// lane bundles the per-goroutine resources one in-flight stream unit needs:
+// a private arena (core + backend pools), a conflict builder bound to that
+// arena, and a child tracker that meters the unit's own bytes exactly while
+// forwarding every charge to the run's tracker — whose peak and budget
+// verdict always cover the lanes combined.
+type lane struct {
+	ar  *Arena
+	bld backend.ConflictBuilder
+	tr  *memtrack.Tracker
+}
+
+// newLane builds an additional lane from the engine's backend
+// configuration. Never called for injected builders (Options.streamLanes
+// forces those sequential), so the registry constructor is always
+// available; the underlying device handles are shared and are safe for
+// concurrent builders.
+func (e *engine) newLane() (*lane, error) {
+	ar := NewArena()
+	bld, err := backend.New(e.opts.Backend, backend.Config{
+		Workers: e.opts.Workers,
+		Device:  e.opts.Device,
+		Arena:   ar.backendArena(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &lane{ar: ar, bld: bld, tr: e.tr.Child()}, nil
+}
 
 // ownColorLists adapts one lane's finished colors to the backend.Lists
 // interface with list size 1: the repair detection asks, per vertex, "is
@@ -94,7 +124,7 @@ func (e *engine) detectConflicts(priorStart, start, end int) ([]int32, int64, er
 // plain sequential unit.
 func (e *engine) streamSpeculative(baseline int64, S int) (*Result, error) {
 	lanes := make([]*lane, S)
-	lanes[0] = &lane{ar: e.ar, bld: e.builder, tr: e.root.Child()}
+	lanes[0] = &lane{ar: e.ar, bld: e.builder, tr: e.tr.Child()}
 	for i := 1; i < S; i++ {
 		ln, err := e.newLane()
 		if err != nil {
@@ -121,7 +151,7 @@ func (e *engine) streamSpeculative(baseline int64, S int) (*Result, error) {
 	type span struct{ start, end int }
 	for e.nextStart < e.n {
 		groupStart := e.nextStart
-		peakBefore := e.root.Peak()
+		peakBefore := e.tr.Peak()
 		hadFrontier := e.fixedEnd > 0
 		spans := make([]span, 0, S)
 		for from := groupStart; len(spans) < S && from < e.n; {
@@ -152,7 +182,7 @@ func (e *engine) streamSpeculative(baseline int64, S int) (*Result, error) {
 				ln.tr.ResetPeak()
 				pe := &engine{
 					ctx: e.ctx, o: e.o, opts: &laneOpts, ar: ln.ar,
-					tr: ln.tr, root: ln.tr, builder: ln.bld,
+					tr: ln.tr, builder: ln.bld,
 					res: &Result{}, colors: e.colors, n: e.n,
 					streamed: true, fixedEnd: groupStart,
 					shardIdx: e.shardIdx + j, ceil: e.ceil,
@@ -272,7 +302,7 @@ func (e *engine) streamSpeculative(baseline int64, S int) (*Result, error) {
 				}
 			}
 			e.shard = nextShardConcurrent(e.shard, spans[0].end-spans[0].start, unitUsed,
-				e.opts.MemoryBudgetBytes, baseline, e.root.Peak(), peakBefore, hadFrontier, S)
+				e.opts.MemoryBudgetBytes, baseline, e.tr.Peak(), peakBefore, hadFrontier, S)
 		}
 	}
 	if specTotal > 0 {

@@ -92,10 +92,10 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options) (*Result, err
 		shard = st.Shard
 	}
 	// The concurrency governor: how many shard units may hold iteration
-	// memory at once. Pipelining needs two in-flight footprints, speculation
-	// S of them; under a budget the lane count shrinks until the combined
-	// worst case fits the headroom, degrading all the way to the sequential
-	// loop rather than letting MemoryBudgetBytes go quietly dishonest.
+	// memory at once. Speculation needs S in-flight footprints; under a
+	// budget the lane count shrinks until the combined worst case fits the
+	// headroom, degrading all the way to the sequential loop rather than
+	// letting MemoryBudgetBytes go quietly dishonest.
 	lanes := 1
 	if want := opts.streamLanes(); want > 1 {
 		lanes = want
@@ -120,12 +120,9 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options) (*Result, err
 	}
 	e.shard = shard
 	// With nothing left (a resume from the final boundary) the loop below
-	// runs no shard; the concurrent schedules would open an empty one.
+	// runs no shard; the speculative schedule would open an empty one.
 	if lanes > 1 && e.nextStart < e.n {
-		if opts.Speculate >= 2 {
-			return e.streamSpeculative(baseline, lanes)
-		}
-		return e.streamPipelined(baseline)
+		return e.streamSpeculative(baseline, lanes)
 	}
 
 	for e.nextStart < e.n {
@@ -183,10 +180,10 @@ func shardFootprint(opts *Options, o graph.Oracle, n, B int) int64 {
 
 // autoShard derives the initial shard size from the budget headroom: the
 // largest B in [minShard, remaining] whose worst-case footprint fits lanes
-// concurrent copies of (lanes is 1 for the sequential loop, 2 for the
-// pipelined stream, S for speculation — each in-flight unit holds a full
-// iteration footprint). Without a budget it falls back to the knob-free
-// default. When even the minimum shard does not fit, it returns minShard
+// concurrent copies of (lanes is 1 for the sequential loop, S for
+// speculation — each in-flight unit holds a full iteration footprint).
+// Without a budget it falls back to the knob-free default. When even the
+// minimum shard does not fit, it returns minShard
 // anyway — the run degrades (and reports BudgetExceeded) instead of
 // refusing.
 func autoShard(opts *Options, o graph.Oracle, n, remaining int, baseline int64, lanes int) int {
@@ -263,14 +260,13 @@ func nextShard(cur, lastLen int, tr *memtrack.Tracker, budget, baseline, peakBef
 
 // nextShardConcurrent is nextShard's counterpart for multi-lane execution.
 // The sequential retarget divides the run tracker's peak delta by the shard
-// length — but under pipelining that peak includes the overlapped
-// neighbor's build, so scaling it per vertex would overestimate cost and
-// shrink shards forever. Here unitUsed is the finished unit's *own* bytes
-// (its lane child tracker's peak: exact per-unit attribution, never
-// inflated by a neighbor in flight), while the halve-on-crossing test still
-// reads the shared root peak — the budget is a promise about the lanes
-// combined. The retarget then reserves headroom for lanes concurrent
-// footprints.
+// length — but with lanes in flight that peak includes the neighbors'
+// units, so scaling it per vertex would overestimate cost and shrink shards
+// forever. Here unitUsed is the finished unit's *own* bytes (its lane child
+// tracker's peak: exact per-unit attribution, never inflated by a neighbor
+// in flight), while the halve-on-crossing test still reads the run
+// tracker's peak — the budget is a promise about the lanes combined. The
+// retarget then reserves headroom for lanes concurrent footprints.
 func nextShardConcurrent(cur, lastLen int, unitUsed, budget, baseline, peak, peakBefore int64, hadFrontier bool, lanes int) int {
 	if budget <= 0 || lastLen <= 0 {
 		return cur

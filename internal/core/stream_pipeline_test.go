@@ -9,53 +9,65 @@ import (
 )
 
 func TestStreamPipelinedCancellation(t *testing.T) {
-	// Cancellation at every new boundary: pre-cancelled runs do nothing;
-	// a cancel delivered at a shard boundary stops before the next shard
-	// colors and the in-flight prebuild is drained with its tracker
-	// charges fully released (no leak, even on the error path).
+	// Cancellation at every boundary of a speculative stream: a
+	// pre-cancelled run does nothing; a cancel delivered at a group boundary
+	// stops before the next group colors, with every lane's tracker charges
+	// released (no leak, even on the error path).
 	o := graph.RandomOracle{N: 4000, P: 0.5, Seed: 99}
-	for mode, set := range map[string]func(*Options){
-		"pipelined":   func(o *Options) { o.PipelineShards = true },
-		"speculative": func(o *Options) { o.Speculate = 3 },
-	} {
-		opts := Normal(1)
-		opts.ShardSize = 500
-		set(&opts)
+	opts := Normal(1)
+	opts.ShardSize = 500
+	opts.Speculate = 3
 
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := Run(ctx, o, streamed(opts)); err != context.Canceled {
-			t.Fatalf("%s: pre-cancelled stream returned %v", mode, err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, o, streamed(opts)); err != context.Canceled {
+		t.Fatalf("pre-cancelled stream returned %v", err)
+	}
 
-		var tr memtrack.Tracker
-		opts.Tracker = &tr
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		boundaries := 0
-		opts.Checkpoint = func(st RunState) {
-			boundaries++
-			if boundaries == 2 {
-				cancel2()
-			}
+	var tr memtrack.Tracker
+	opts.Tracker = &tr
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	boundaries := 0
+	opts.Checkpoint = func(st RunState) {
+		boundaries++
+		if boundaries == 2 {
+			cancel2()
 		}
-		if _, err := Run(ctx2, o, streamed(opts)); err != context.Canceled {
-			t.Fatalf("%s: boundary-cancelled stream returned %v", mode, err)
-		}
-		if boundaries != 2 {
-			t.Fatalf("%s: run continued for %d boundaries after cancellation", mode, boundaries)
-		}
-		if tr.Current() != 0 {
-			t.Fatalf("%s: %d tracked bytes leaked on the cancellation path", mode, tr.Current())
-		}
-		cancel2()
+	}
+	if _, err := Run(ctx2, o, streamed(opts)); err != context.Canceled {
+		t.Fatalf("boundary-cancelled stream returned %v", err)
+	}
+	if boundaries != 2 {
+		t.Fatalf("run continued for %d boundaries after cancellation", boundaries)
+	}
+	if tr.Current() != 0 {
+		t.Fatalf("%d tracked bytes leaked on the cancellation path", tr.Current())
 	}
 }
 
+// sameAsSequential runs opts as a speculative stream and asserts the lane
+// governor fell back to the sequential loop: nothing speculated, nothing
+// overlapped, and the coloring is seq's bit for bit.
+func sameAsSequential(t *testing.T, o graph.Oracle, opts Options, seq *Result) *Result {
+	t.Helper()
+	res, err := Run(context.Background(), o, streamed(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SpeculativeConflicts != 0 || res.OverlapRatio != 0 {
+		t.Errorf("%d speculative conflicts, overlap ratio %v: the run speculated",
+			res.SpeculativeConflicts, res.OverlapRatio)
+	}
+	if err := sameColoring(res.Colors, seq.Colors); err != nil {
+		t.Fatalf("vs the sequential stream: %v", err)
+	}
+	return res
+}
+
 func TestStreamPipelinedBudgetFallback(t *testing.T) {
-	// When the budget cannot fit two worst-case shards the governor falls
-	// back to sequential execution: PipelinedShards reports 0 and — the
-	// point of bit-identity — the coloring is indistinguishable from the
-	// sequential stream, so the fallback is invisible except in the stats.
+	// When the budget cannot fit two worst-case shards the lane governor
+	// runs the sequential loop instead of speculating.
 	o := graph.RandomOracle{N: 3000, P: 0.5, Seed: 41}
 	opts := Normal(7)
 	opts.ShardSize = 1000
@@ -65,92 +77,67 @@ func TestStreamPipelinedBudgetFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pipe := opts
-	pipe.PipelineShards = true
+	spec := opts
+	spec.Speculate = 2
 	// Room for ~1.5 worst-case shards: one lane fits, two do not.
-	pipe.MemoryBudgetBytes = shardFootprint(&pipe, o, 3000, 1000) * 3 / 2
+	spec.MemoryBudgetBytes = shardFootprint(&spec, o, 3000, 1000) * 3 / 2
 	var tr memtrack.Tracker
-	pipe.Tracker = &tr
-	res, err := Run(context.Background(), o, streamed(pipe))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PipelinedShards != 0 {
-		t.Errorf("PipelinedShards = %d under a one-lane budget", res.PipelinedShards)
-	}
-	if res.OverlapRatio != 0 {
-		t.Errorf("overlap ratio %v for a sequential fallback", res.OverlapRatio)
-	}
-	for v := range seq.Colors {
-		if res.Colors[v] != seq.Colors[v] {
-			t.Fatalf("budget fallback differs from sequential stream at vertex %d", v)
-		}
-	}
-	if tr.Peak() > pipe.MemoryBudgetBytes && !res.BudgetExceeded {
+	spec.Tracker = &tr
+	res := sameAsSequential(t, o, spec, seq)
+	if tr.Peak() > spec.MemoryBudgetBytes && !res.BudgetExceeded {
 		t.Error("budget crossing went unreported")
 	}
 }
 
 func TestStreamPipelinedAutoShardBudget(t *testing.T) {
-	// Budget-derived shard sizing under pipelining: the run must stay
-	// proper and any budget crossing must be reported, never silent —
-	// the combined two-lane footprint is what the budget governs.
+	// Budget-derived shard sizing under speculation: the run must stay
+	// proper and any budget crossing must be reported, never silent — the
+	// combined footprint of the lanes is what the budget governs.
 	o := graph.RandomOracle{N: 4000, P: 0.5, Seed: 5}
-	for mode, set := range map[string]func(*Options){
-		"pipelined":   func(o *Options) { o.PipelineShards = true },
-		"speculative": func(o *Options) { o.Speculate = 3 },
-	} {
-		opts := Normal(3)
-		set(&opts)
-		var tr memtrack.Tracker
-		opts.Tracker = &tr
-		opts.MemoryBudgetBytes = 8 << 20
-		res, err := Run(context.Background(), o, streamed(opts))
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if err := graph.VerifyOracle(o, res.Colors); err != nil {
-			t.Fatalf("%s: coloring not proper: %v", mode, err)
-		}
-		if tr.Peak() > opts.MemoryBudgetBytes && !res.BudgetExceeded {
-			t.Errorf("%s: peak %d over budget %d but not reported",
-				mode, tr.Peak(), opts.MemoryBudgetBytes)
-		}
-		if tr.Current() != 0 {
-			t.Errorf("%s: %d tracked bytes leaked", mode, tr.Current())
-		}
+	opts := Normal(3)
+	opts.Speculate = 3
+	var tr memtrack.Tracker
+	opts.Tracker = &tr
+	opts.MemoryBudgetBytes = 8 << 20
+	res, err := Run(context.Background(), o, streamed(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.VerifyOracle(o, res.Colors); err != nil {
+		t.Fatalf("coloring not proper: %v", err)
+	}
+	if tr.Peak() > opts.MemoryBudgetBytes && !res.BudgetExceeded {
+		t.Errorf("peak %d over budget %d but not reported", tr.Peak(), opts.MemoryBudgetBytes)
+	}
+	if tr.Current() != 0 {
+		t.Errorf("%d tracked bytes leaked", tr.Current())
 	}
 }
 
 func TestStreamPipelinedInjectedBuilderFallsBack(t *testing.T) {
-	// An injected Builder is bound to one arena: pipelining must quietly
-	// run sequentially instead of sharing the instance across lanes.
+	// An injected Builder is bound to one arena: speculation must quietly
+	// run the sequential loop instead of sharing the instance across lanes.
 	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 3}
 	opts := Normal(7)
 	opts.ShardSize = 500
+	seq, err := Run(context.Background(), o, streamed(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := opts.validate(); err != nil {
 		t.Fatal(err)
 	}
 	injected := opts // validated copy: Builder now set, builderInjected recorded
-	injected.PipelineShards = true
-	res, err := Run(context.Background(), o, streamed(injected))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PipelinedShards != 0 {
-		t.Errorf("PipelinedShards = %d with an injected builder", res.PipelinedShards)
-	}
-	if err := graph.VerifyOracle(o, res.Colors); err != nil {
-		t.Fatalf("injected-builder fallback not proper: %v", err)
-	}
+	injected.Speculate = 2
+	sameAsSequential(t, o, injected, seq)
 }
 
 func TestNextShardConcurrentAttribution(t *testing.T) {
-	// The satellite regression: under pipelining the run tracker's peak
-	// includes the overlapped neighbor's build, so sizing from it would
-	// systematically shrink shards. nextShardConcurrent takes the unit's
-	// own bytes (its lane child's peak) for the retarget and uses the
-	// combined root peak only for the halve-on-crossing verdict.
+	// With lanes in flight the run tracker's peak includes the neighbors'
+	// units, so sizing from it would systematically shrink shards.
+	// nextShardConcurrent takes the unit's own bytes (its lane child's
+	// peak) for the retarget and uses the combined root peak only for the
+	// halve-on-crossing verdict.
 	var root memtrack.Tracker
 	a, b := root.Child(), root.Child()
 	a.Alloc(2 << 20) // the finished unit's own footprint

@@ -113,14 +113,9 @@ func (d *Device) ResetPeak() {
 	d.mu.Unlock()
 }
 
-// Launch executes kernel(i) for every thread i in [0, grid) across the
-// device's workers — the simulation of a CUDA kernel launch.
-func (d *Device) Launch(grid int, kernel func(thread int)) {
-	par.ForN(d.Workers, grid, kernel)
-}
-
 // LaunchChunked executes kernel(lo, hi, worker) over contiguous thread
-// ranges, exposing the worker id for per-"SM" scratch state.
+// ranges across the device's workers — the simulation of a CUDA kernel
+// launch — exposing the worker id for per-"SM" scratch state.
 func (d *Device) LaunchChunked(grid int, kernel func(lo, hi, worker int)) {
 	par.ForChunks(d.Workers, grid, kernel)
 }

@@ -62,24 +62,6 @@ func TestA100Capacity(t *testing.T) {
 	}
 }
 
-func TestLaunchCoversGrid(t *testing.T) {
-	d := NewDevice("test", 0, 4)
-	var sum atomic.Int64
-	hits := make([]atomic.Int32, 1000)
-	d.Launch(1000, func(i int) {
-		hits[i].Add(1)
-		sum.Add(int64(i))
-	})
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("thread %d ran %d times", i, hits[i].Load())
-		}
-	}
-	if sum.Load() != 999*1000/2 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestLaunchChunkedPartitions(t *testing.T) {
 	d := NewDevice("test", 0, 3)
 	covered := make([]atomic.Int32, 100)
@@ -97,13 +79,15 @@ func TestLaunchChunkedPartitions(t *testing.T) {
 
 func TestConcurrentAllocAccounting(t *testing.T) {
 	d := NewDevice("test", 1<<40, 0)
-	d.Launch(64, func(i int) {
-		b, err := d.Alloc(1024)
-		if err != nil {
-			t.Error(err)
-			return
+	d.LaunchChunked(64, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			b, err := d.Alloc(1024)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b.Free()
 		}
-		b.Free()
 	})
 	if d.Used() != 0 {
 		t.Fatalf("used = %d after balanced alloc/free", d.Used())

@@ -212,15 +212,7 @@ func TestSpecStreamKnobs(t *testing.T) {
 }
 
 func TestSpecConcurrencyKnobs(t *testing.T) {
-	// Pipeline and speculate imply streaming and land in the engine options.
-	p := Spec{Random: "1000:0.5", Seed: 1, Pipeline: true}
-	if err := p.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Streamed() || !p.Options().PipelineShards {
-		t.Error("pipeline knob not propagated")
-	}
-
+	// Speculate implies streaming and lands in the engine options.
 	s := Spec{Random: "1000:0.5", Seed: 1, Speculate: 3}
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)

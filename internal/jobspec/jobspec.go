@@ -107,18 +107,13 @@ type Spec struct {
 	// run's tracker enforces; it also drives automatic shard sizing.
 	// Normalized to the exact-unit spelling of the parsed byte count.
 	Budget string `json:"budget,omitempty"`
-	// Pipeline overlaps each streamed shard's build stage with its
-	// predecessor's coloring (two in-flight shards; the coloring stays
-	// bit-identical to the sequential stream for a fixed Shard). Implies
-	// Stream.
-	Pipeline bool `json:"pipeline,omitempty"`
 	// Speculate colors this many streamed shards concurrently against the
 	// same frozen frontier and repairs cross-shard collisions afterwards
 	// (proper and deterministic per seed, not bit-identical). Values
 	// below 2 mean off. Implies Stream.
 	Speculate int `json:"speculate,omitempty"`
 	// Portfolio, when non-nil, races entrant configurations of the job —
-	// varying seed, strategy, shard size, and pipeline/speculate schedule —
+	// varying seed, strategy, shard size, and speculative schedule —
 	// against a shared best-so-far color bound and keeps the deterministic
 	// winner (see picasso.PortfolioOptions). Implies Stream. A single-entrant block
 	// is the plain run and is canonicalized away.
@@ -308,7 +303,7 @@ func (s *Spec) Normalize() error {
 		}
 		s.Portfolio = p
 	}
-	if s.Shard > 0 || s.Budget != "" || s.Pipeline || s.Speculate >= 2 || s.Portfolio != nil {
+	if s.Shard > 0 || s.Budget != "" || s.Speculate >= 2 || s.Portfolio != nil {
 		s.Stream = true // shard/budget/concurrency/racing knobs imply the streaming engine
 	}
 	if s.Refine != nil {
@@ -412,7 +407,6 @@ func (s Spec) Options() picasso.Options {
 	opts.Workers = s.Workers
 	opts.ShardSize = s.Shard
 	opts.MemoryBudgetBytes = s.BudgetBytes()
-	opts.PipelineShards = s.Pipeline
 	opts.Speculate = s.Speculate
 	opts.Variant = picasso.Variant(s.Variant)
 	opts.Stream = s.Stream

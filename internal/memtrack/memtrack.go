@@ -18,13 +18,13 @@
 // exceed": a crossing can never pass unrecorded.
 //
 // For concurrent work, Child builds a forwarding hierarchy: a child tracker
-// meters one unit of work (a stream lane, a pipelined shard build) exactly
-// — its peak is that unit's bytes alone — while forwarding every Alloc and
-// Free to the parent, whose current/peak therefore cover all in-flight
-// units combined. Budgets are armed on the parent only; the budget verdict
-// is a property of the whole run, never of a single lane. The coloring
-// service leans on the same mechanism per job: each job's tracker is
-// independent, so one job's verdict never bleeds into another's.
+// meters one unit of work (a speculative stream lane, a portfolio entrant)
+// exactly — its peak is that unit's bytes alone — while forwarding every
+// Alloc and Free to the parent, whose current/peak therefore cover all
+// in-flight units combined. Budgets are armed on the parent only; the
+// budget verdict is a property of the whole run, never of a single lane.
+// The coloring service leans on the same mechanism per job: each job's
+// tracker is independent, so one job's verdict never bleeds into another's.
 //
 // The zero Tracker is ready to use, and a nil *Tracker is a valid no-op
 // sink, so instrumented code paths carry no nil checks and no overhead when

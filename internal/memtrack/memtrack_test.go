@@ -76,8 +76,8 @@ func TestConcurrentSafety(t *testing.T) {
 	}
 }
 
-// TestConcurrentReservationsExact pins the accounting contract the pipelined
-// streaming engine relies on: with two (or more) arenas reserving
+// TestConcurrentReservationsExact pins the accounting contract the
+// speculative streaming engine relies on: with two (or more) arenas reserving
 // simultaneously, the tracker's peak is the exact combined high water and
 // OverBudget reflects it. Every goroutine parks on a barrier while holding
 // its reservation, so the combined footprint at that instant is known

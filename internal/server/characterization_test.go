@@ -78,7 +78,7 @@ func charSteps() []charStep {
 		{name: "dimacs", body: `{"graph_data":` + dimacs + `,"seed":5}`},
 		{name: "equitable", body: `{"graph_data":` + dimacs + `,"variant":"equitable","seed":6}`},
 		{name: "budgeted-stream", body: `{"random":"1500:0.5","seed":7,"budget":"512KiB","shard":300,"workers":1}`},
-		{name: "pipelined-stream", body: `{"random":"1500:0.5","seed":8,"shard":300,"pipeline":true}`},
+		{name: "fixed-shard-stream", body: `{"random":"1500:0.5","seed":8,"shard":300}`},
 		{name: "speculative-stream", body: `{"random":"1500:0.5","seed":9,"shard":300,"speculate":2}`},
 		{name: "inline-refine", body: `{"random":"900:0.5","seed":12,"shard":300,"refine":{"rounds":4}}`},
 		{name: "portfolio-refine", body: `{"random":"1200:0.5","seed":5,"shard":400,"workers":1,"budget":"4MiB","portfolio":{"entrants":2},"refine":{"rounds":3}}`},

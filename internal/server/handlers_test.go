@@ -173,6 +173,7 @@ func TestSubmitRejections(t *testing.T) {
 		{"unknown backend", `{"random":"100:0.5","backend":"tpu"}`, http.StatusBadRequest, "unknown backend"},
 		{"deviceless gpu backend", `{"random":"100:0.5","backend":"gpu"}`, http.StatusBadRequest, "cannot run in this service"},
 		{"deleted multigpu backend", `{"random":"100:0.5","backend":"multigpu"}`, http.StatusBadRequest, "unknown backend"},
+		{"deleted pipeline knob", `{"random":"100:0.5","pipeline":true}`, http.StatusBadRequest, "unknown field"},
 		{"too large", `{"random":"5000:0.5"}`, http.StatusRequestEntityTooLarge, "exceeds"},
 	}
 	for _, c := range cases {

@@ -58,7 +58,6 @@ type ResultSummary struct {
 	PairsTested        int64   `json:"pairs_tested"`
 	Fallback           bool    `json:"fallback,omitempty"`
 	Shards             int     `json:"shards,omitempty"`
-	PipelinedShards    int     `json:"pipelined_shards,omitempty"`
 	OverlapRatio       float64 `json:"overlap_ratio,omitempty"`
 	SpecConflicts      int     `json:"speculative_conflicts,omitempty"`
 	RepairRecolors     int     `json:"repair_recolors,omitempty"`

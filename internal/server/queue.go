@@ -162,15 +162,11 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 	if opts.MemoryBudgetBytes == 0 && s.cfg.DefaultBudgetBytes > 0 {
 		opts.MemoryBudgetBytes = s.cfg.DefaultBudgetBytes
 	}
-	// Serve-level concurrency defaults apply only to streamed jobs whose
-	// spec left both knobs unset — an explicit spec always wins, and
-	// one-shot jobs have no shards to overlap.
-	if opts.Stream && !opts.PipelineShards && opts.Speculate == 0 {
-		if s.cfg.DefaultSpeculate >= 2 {
-			opts.Speculate = s.cfg.DefaultSpeculate
-		} else if s.cfg.DefaultPipeline {
-			opts.PipelineShards = true
-		}
+	// The serve-level speculation default applies only to streamed jobs
+	// whose spec left the knob unset — an explicit spec always wins, and
+	// one-shot jobs have no shards to speculate on.
+	if opts.Stream && opts.Speculate == 0 && s.cfg.DefaultSpeculate >= 2 {
+		opts.Speculate = s.cfg.DefaultSpeculate
 	}
 	opts.Arena = arena
 	opts.Progress = func(st picasso.IterStats) {
@@ -421,7 +417,6 @@ func summarize(res *picasso.Result, groups [][]int) *ResultSummary {
 		PairsTested:        res.TotalPairsTested,
 		Fallback:           res.Fallback,
 		Shards:             res.Shards,
-		PipelinedShards:    res.PipelinedShards,
 		OverlapRatio:       res.OverlapRatio,
 		SpecConflicts:      res.SpeculativeConflicts,
 		RepairRecolors:     res.RepairRecolors,

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -183,21 +185,64 @@ func TestQueuedJobRecovered(t *testing.T) {
 	}
 }
 
+// An accepted record written before the "pipeline" knob was deleted still
+// recovers under its old id: the envelope decode drops the stale field, and
+// the sequential stream colors the job exactly as the pipelined one did at
+// its fixed shard size.
+func TestPipelineJournalRecordRecovered(t *testing.T) {
+	const (
+		id        = "j6214ee11f1c5a49a"
+		canonical = `{"random":"1500:0.5","mode":"normal","seed":8,"stream":true,"shard":300,"pipeline":true}`
+		groupsSHA = "48cd51c2719e9ab870ee498ff107b879e4d4b9a2e53f16591094a0210bc41114"
+	)
+	quoted, err := json.Marshal(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writeAcceptedData(t, dir, id, []byte(`{"spec":{"random":"1500:0.5","seed":8,"shard":300,"pipeline":true},`+
+		`"canonical":`+string(quoted)+`,"submitted_at":"`+time.Now().UTC().Format(time.RFC3339Nano)+`"}`))
+
+	s, err := New(Config{ArtifactDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := waitJob(t, s, id); st.State != StateDone {
+		t.Fatalf("recovered job state = %s (%s)", st.State, st.Error)
+	}
+	var gr GroupsResponse
+	if code := serveJSON(t, s, http.MethodGet, "/v1/jobs/"+id+"/groups", "", &gr); code != http.StatusOK {
+		t.Fatalf("groups HTTP %d", code)
+	}
+	blob, _ := json.Marshal(gr.Groups)
+	if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != groupsSHA {
+		t.Fatalf("recovered groups hash %x, want %s", sum, groupsSHA)
+	}
+}
+
 // writeAcceptedRecord seeds a journal file with one accepted record, as if
 // a previous process had enqueued the job and crashed.
 func writeAcceptedRecord(t *testing.T, dir string, env jobEnvelope) {
+	t.Helper()
+	data, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAcceptedData(t, dir, JobID(env.Canonical), data)
+}
+
+// writeAcceptedData seeds a journal file with one accepted record for job
+// id whose envelope is data, verbatim.
+func writeAcceptedData(t *testing.T, dir, id string, data []byte) {
 	t.Helper()
 	jnl, _, err := journal.Open(dir + "/" + journalFileName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := jnl.Append(journal.Record{
 		Time: time.Now().UTC().Format(time.RFC3339Nano),
-		ID:   JobID(env.Canonical), Event: journal.EventAccepted, Data: data,
+		ID:   id, Event: journal.EventAccepted, Data: data,
 	}); err != nil {
 		t.Fatal(err)
 	}

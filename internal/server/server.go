@@ -63,13 +63,9 @@ type Config struct {
 	// stream size their shards from it; one-shot jobs report crossings in
 	// their result summary.
 	DefaultBudgetBytes int64
-	// DefaultPipeline overlaps shard builds with coloring for streamed jobs
-	// whose spec sets neither pipeline nor speculate; the coloring is
-	// unchanged (bit-identical for a fixed shard size), only wall-clock.
-	DefaultPipeline bool
 	// DefaultSpeculate colors this many shards concurrently (with
-	// cross-shard repair) for streamed jobs whose spec sets neither knob;
-	// values below 2 mean off. Takes precedence over DefaultPipeline.
+	// cross-shard repair) for streamed jobs whose spec leaves speculate
+	// unset; values below 2 mean off.
 	DefaultSpeculate int
 	// DefaultEntrants races every streamed job whose spec carries no
 	// portfolio block of its own as a portfolio of this many entrants

@@ -52,33 +52,26 @@ if [ -z "$ngroups" ] || [ "$ngroups" -eq 0 ]; then
   exit 1
 fi
 
-# A streamed job with pipelining enabled: shards overlap their builds while
-# the coloring stays the sequential stream's. The summary must report the
-# shard count and the pipelined-shard counter.
-psubmit=$(curl -sf -X POST "$BASE/jobs" -d '{"random":"1500:0.5","seed":2,"shard":500,"pipeline":true}')
-echo "pipeline submit: $psubmit"
-pid=$(echo "$psubmit" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
-if [ -z "$pid" ]; then echo "FAIL: no job id in pipeline submit response" >&2; exit 1; fi
+# A streamed job at a fixed shard size: the summary must report the shard
+# count.
+ssubmit=$(curl -sf -X POST "$BASE/jobs" -d '{"random":"1500:0.5","seed":2,"shard":500}')
+echo "stream submit: $ssubmit"
+sid=$(echo "$ssubmit" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+if [ -z "$sid" ]; then echo "FAIL: no job id in stream submit response" >&2; exit 1; fi
 for i in $(seq 1 100); do
-  state=$(curl -sf "$BASE/jobs/$pid" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+  state=$(curl -sf "$BASE/jobs/$sid" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
   case "$state" in
     done) break ;;
-    failed) echo "FAIL: pipelined job failed"; curl -s "$BASE/jobs/$pid" >&2; exit 1 ;;
+    failed) echo "FAIL: streamed job failed"; curl -s "$BASE/jobs/$sid" >&2; exit 1 ;;
   esac
-  if [ "$i" = 100 ]; then echo "FAIL: pipelined job never finished (state=$state)" >&2; exit 1; fi
+  if [ "$i" = 100 ]; then echo "FAIL: streamed job never finished (state=$state)" >&2; exit 1; fi
   sleep 0.2
 done
-pstatus=$(curl -sf "$BASE/jobs/$pid")
-shards=$(echo "$pstatus" | sed -n 's/.*"shards":\([0-9]*\).*/\1/p')
-pipelined=$(echo "$pstatus" | sed -n 's/.*"pipelined_shards":\([0-9]*\).*/\1/p')
+sstatus=$(curl -sf "$BASE/jobs/$sid")
+shards=$(echo "$sstatus" | sed -n 's/.*"shards":\([0-9]*\).*/\1/p')
 if [ "${shards:-0}" -ne 3 ]; then
-  echo "FAIL: pipelined job reported ${shards:-no} shards, want 3" >&2
-  echo "$pstatus" >&2
-  exit 1
-fi
-if [ -z "$pipelined" ] || [ "$pipelined" -eq 0 ]; then
-  echo "FAIL: pipelined job reported no pipelined shards" >&2
-  echo "$pstatus" >&2
+  echo "FAIL: streamed job reported ${shards:-no} shards, want 3" >&2
+  echo "$sstatus" >&2
   exit 1
 fi
 
