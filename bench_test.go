@@ -261,7 +261,7 @@ func BenchmarkAblationAtomics(b *testing.B) {
 	})
 }
 
-// BenchmarkConflictBuildBackends drives the registered conflict-construction
+// BenchmarkConflictBuildBackends drives the three conflict-construction
 // backends through the public API on a dense n=10k oracle, reporting the
 // build-phase time and the kernel's oracle-call savings. The kernel-level
 // all-pairs vs bucketed comparison lives in internal/backend

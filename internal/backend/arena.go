@@ -6,7 +6,7 @@ import (
 )
 
 // Arena pools the working storage of conflict-graph construction — the
-// bucket index, per-worker kernel scratch, COO edge buffers, the device
+// bucket index, per-worker kernel scratch and edge buffers, the device
 // edge-list mirrors, and the conflict CSR backing — so a steady-state caller
 // (the iteration loop, a service worker recoloring job after job) reuses one
 // set of allocations instead of re-making them every build. Buffers grow to
@@ -16,18 +16,17 @@ import (
 // An Arena is NOT safe for concurrent use: hold one per goroutine (the
 // coloring service keeps one per pool worker). Builds running on one arena
 // may still fan out internally — worker lanes are reserved serially before
-// the parallel section, so each goroutine touches only its own lane. Every
-// builder accepts a nil *Arena and falls back to fresh per-build
-// allocations.
+// the parallel section, so each goroutine touches only its own lane.
 type Arena struct {
-	bk    *Buckets
-	fb    *FixedBuckets // streaming fixed-color index (fixed.go)
-	cnt   []int64       // bucket counting/cursor scratch (palette-sized)
+	bk    Buckets
+	fb    FixedBuckets // streaming fixed-color index (fixed.go)
+	cnt   []int64      // bucket counting/cursor scratch (palette-sized)
 	lanes []workerLane
 	calls []int64
-	coo   graph.COO // sequential/merge edge list
-	deg   []int64   // CSR degree scratch, or the device kernel's counters
-	csr   graph.CSR
+	deg   []int64 // CSR degree scratch, or the device kernel's counters
+	// csr backs the conflict CSR a build hands back, valid until the next
+	// build on the arena — the iteration-at-a-time lifetime core gives it.
+	csr graph.CSR
 	// devU, devV mirror the device's unordered edge list (deviceScan).
 	devU, devV []int32
 }
@@ -36,7 +35,8 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // workerLane is one kernel worker's private state: a CPU worker's, or a
-// device "SM"'s (which uses only the scratch).
+// device "SM"'s (which uses only the scratch). Lane 0's edge buffer is also
+// the CPU build's merged edge list.
 type workerLane struct {
 	s   *Scratch
 	coo graph.COO
@@ -45,21 +45,23 @@ type workerLane struct {
 // reserveLanes grows the worker-lane table to count lanes. Must be
 // called serially before concurrent lane access.
 func (a *Arena) reserveLanes(count int) {
-	if a == nil {
-		return
-	}
 	for len(a.lanes) < count {
 		a.lanes = append(a.lanes, workerLane{})
 	}
 }
 
-// scratch returns worker lane w's kernel scratch, grown for n vertices.
-// With a nil arena it allocates a fresh Scratch, matching the historical
-// per-build behavior.
-func (a *Arena) scratch(w, n int) *Scratch {
-	if a == nil {
-		return NewScratch(n)
+// emptyLanes empties the edge buffers of the first count lanes for n
+// vertices. The buffers keep their capacity, so growth through Append is
+// retained for the next build.
+func (a *Arena) emptyLanes(count, n int) {
+	for w := range a.lanes[:count] {
+		c := &a.lanes[w].coo
+		c.N, c.U, c.V = n, c.U[:0], c.V[:0]
 	}
+}
+
+// scratch returns worker lane w's kernel scratch, grown for n vertices.
+func (a *Arena) scratch(w, n int) *Scratch {
 	ln := &a.lanes[w]
 	if ln.s == nil {
 		ln.s = NewScratch(n)
@@ -69,36 +71,8 @@ func (a *Arena) scratch(w, n int) *Scratch {
 	return ln.s
 }
 
-// laneCOO returns worker lane w's edge buffer, emptied for n vertices. The
-// returned COO aliases arena storage, so growth through Append is retained
-// for the next build.
-func (a *Arena) laneCOO(w, n int) *graph.COO {
-	if a == nil {
-		return &graph.COO{N: n}
-	}
-	c := &a.lanes[w].coo
-	c.N = n
-	c.U = c.U[:0]
-	c.V = c.V[:0]
-	return c
-}
-
-// mainCOO returns the sequential/merge edge buffer, emptied for n vertices.
-func (a *Arena) mainCOO(n int) *graph.COO {
-	if a == nil {
-		return &graph.COO{N: n}
-	}
-	a.coo.N = n
-	a.coo.U = a.coo.U[:0]
-	a.coo.V = a.coo.V[:0]
-	return &a.coo
-}
-
 // callsBuf returns a zeroed per-worker call-count buffer.
 func (a *Arena) callsBuf(n int) []int64 {
-	if a == nil {
-		return make([]int64, n)
-	}
 	a.calls = grow.Zeroed(a.calls, n)
 	return a.calls
 }
@@ -106,22 +80,8 @@ func (a *Arena) callsBuf(n int) []int64 {
 // degBuf returns the degree scratch for CSR conversion (contents garbage;
 // CountDegreesInto zeroes it).
 func (a *Arena) degBuf(n int) []int64 {
-	if a == nil {
-		return nil
-	}
 	a.deg = grow.Slice(a.deg, n)
 	return a.deg
-}
-
-// csrBuf returns the pooled conflict-CSR target, or nil (= allocate fresh)
-// without an arena. The CSR handed back by a build stays valid until the
-// next build on the same arena — exactly the iteration-at-a-time lifetime
-// the coloring core gives it.
-func (a *Arena) csrBuf() *graph.CSR {
-	if a == nil {
-		return nil
-	}
-	return &a.csr
 }
 
 // maxRetainedDeviceEdges bounds the device edge-mirror capacity an arena
@@ -129,14 +89,13 @@ func (a *Arena) csrBuf() *graph.CSR {
 // deviceScan sizes these buffers at the worst-case all-pairs bound clamped
 // by device memory — far above the edges actually produced — so retaining
 // them unconditionally would pin that worst case in every long-lived
-// worker. Larger requests are served fresh and left to the collector,
-// exactly the pre-arena behavior.
+// worker. Larger requests are served fresh and left to the collector.
 const maxRetainedDeviceEdges = 8 << 20
 
 // edgeBufs returns the host mirrors of the device's unordered edge list,
 // grown to capEdges.
 func (a *Arena) edgeBufs(capEdges int64) ([]int32, []int32) {
-	if a == nil || capEdges > maxRetainedDeviceEdges {
+	if capEdges > maxRetainedDeviceEdges {
 		return make([]int32, capEdges), make([]int32, capEdges)
 	}
 	a.devU = grow.Slice(a.devU, int(capEdges))
@@ -147,9 +106,6 @@ func (a *Arena) edgeBufs(capEdges int64) ([]int32, []int32) {
 // degCounters returns zeroed per-vertex degree counters for the device
 // kernel (which builds its CSR from them instead of recounting the COO).
 func (a *Arena) degCounters(n int) []int64 {
-	if a == nil {
-		return make([]int64, n)
-	}
 	a.deg = grow.Zeroed(a.deg, n)
 	return a.deg
 }

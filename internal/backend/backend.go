@@ -1,7 +1,7 @@
 // Package backend is the pluggable conflict-construction layer behind
 // Algorithm 1's line 7. The core algorithm never builds the conflict
 // subgraph itself: it hands an iteration-local edge oracle and the
-// candidate-color lists to a ConflictBuilder selected from the registry
+// candidate-color lists to a ConflictBuilder chosen by name with New
 // ("sequential", "parallel", "gpu", or "auto"), and receives the conflict
 // CSR plus construction statistics back.
 //
@@ -15,15 +15,13 @@
 // dropping per-iteration work from Θ(m²) pair tests to Θ(Σ_c |bucket_c|²)
 // oracle calls, which under the paper's L²/P operating regime is a small
 // fraction of the pair space (see ReferenceAllPairs and the package
-// benchmarks for the measured gap). Builders constructed with a Config.Arena
-// additionally reuse all working storage across builds (see Arena).
+// benchmarks for the measured gap). Every builder draws its working storage
+// from an Arena and reuses it across builds.
 package backend
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"picasso/internal/gpusim"
 	"picasso/internal/graph"
@@ -127,9 +125,10 @@ type Stats struct {
 // edges of the input oracle whose endpoints share a candidate color.
 // Implementations must be deterministic up to edge order — the CSR handed
 // back always has sorted adjacency, so downstream coloring is reproducible
-// across backends.
+// across backends. A builder from New owns its arena, so it must not run
+// concurrent builds: hold one builder per goroutine.
 type ConflictBuilder interface {
-	// Name returns the registry name of the builder.
+	// Name returns the backend name of the builder.
 	Name() string
 	// Build materializes the conflict subgraph. The tracker receives host
 	// memory accounting; Stats.HostBytes is still allocated when Build
@@ -154,42 +153,23 @@ func Cancelled(ctx context.Context) error {
 	}
 }
 
-// Config carries the execution resources a factory may need. Factories
-// reject configs missing their requirements (e.g. "gpu" without a Device).
+// Config carries the execution resources a builder may need. New rejects
+// configs missing a backend's requirements ("gpu" without a Device).
 type Config struct {
 	// Workers is the CPU parallelism (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
 	// Device is the simulated accelerator for the gpu path.
 	Device *gpusim.Device
-	// Arena, when non-nil, pools the builder's working storage across
-	// builds (see Arena). The builder then allocates only on growth; nil
-	// keeps the historical fresh-buffers-per-build behavior.
+	// Arena pools the builder's working storage across builds (see Arena),
+	// so the builder allocates only on growth. Nil gives the builder a
+	// fresh arena of its own.
 	Arena *Arena
-}
-
-// Factory builds a ConflictBuilder from a Config.
-type Factory func(Config) (ConflictBuilder, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register adds a named factory. Registering a duplicate name panics:
-// backends are wired at init time and a collision is a programming error.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", name))
-	}
-	registry[name] = f
 }
 
 // New instantiates the named backend. The empty name and "auto" select
 // automatically from the config: a device → "gpu", Workers == 1 →
-// "sequential", otherwise "parallel" — the historical dispatch, now data
-// instead of a switch in core.
+// "sequential", otherwise "parallel". "sequential" is the CPU builder with
+// one worker.
 func New(name string, cfg Config) (ConflictBuilder, error) {
 	if name == "" || name == "auto" {
 		switch {
@@ -201,41 +181,37 @@ func New(name string, cfg Config) (ConflictBuilder, error) {
 			name = "parallel"
 		}
 	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (have %v)", name, Names())
+	if cfg.Arena == nil {
+		cfg.Arena = NewArena()
 	}
-	return f(cfg)
+	switch name {
+	case "sequential":
+		return cpuBuilder{name: name, workers: 1, arena: cfg.Arena}, nil
+	case "parallel":
+		return cpuBuilder{name: name, workers: cfg.Workers, arena: cfg.Arena}, nil
+	case "gpu":
+		if cfg.Device == nil {
+			return nil, fmt.Errorf("backend: gpu backend requires a device")
+		}
+		return gpuBuilder{dev: cfg.Device, arena: cfg.Arena}, nil
+	}
+	return nil, fmt.Errorf("backend: unknown backend %q (have %v)", name, Names())
 }
 
-// Names returns the registered backend names, sorted, with "auto" first.
+// Names returns the backend names New accepts, sorted, with "auto" first.
 func Names() []string {
-	regMu.RLock()
-	names := make([]string, 0, len(registry)+1)
-	for n := range registry {
-		names = append(names, n)
-	}
-	regMu.RUnlock()
-	sort.Strings(names)
-	return append([]string{"auto"}, names...)
+	return []string{"auto", "gpu", "parallel", "sequential"}
 }
 
 // finishCOO converts a host-side edge list to CSR and fills in the host
 // accounting: the transient COO is charged for the duration of the
 // conversion, the resulting CSR stays charged (Stats.HostBytes) for the
-// caller to free.
-func finishCOO(coo *graph.COO, tr *memtrack.Tracker, st Stats) (*ConflictGraph, Stats, error) {
-	return finishCOOIn(nil, coo, tr, st)
-}
-
-// finishCOOIn is finishCOO drawing the degree scratch and the CSR backing
-// from an arena (nil = fresh allocations). The pooled CSR is lent to the
-// returned ConflictGraph until the arena's next build.
-func finishCOOIn(a *Arena, coo *graph.COO, tr *memtrack.Tracker, st Stats) (*ConflictGraph, Stats, error) {
+// caller to free. The degree scratch and the CSR backing come from the
+// arena; the CSR is lent to the returned ConflictGraph until the arena's
+// next build.
+func finishCOO(a *Arena, coo *graph.COO, tr *memtrack.Tracker, st Stats) (*ConflictGraph, Stats, error) {
 	release := tr.Scoped(coo.Bytes())
-	gc, err := coo.ToCSRInto(coo.CountDegreesInto(a.degBuf(coo.N)), a.csrBuf())
+	gc, err := coo.ToCSRInto(coo.CountDegreesInto(a.degBuf(coo.N)), &a.csr)
 	release()
 	if err != nil {
 		return nil, st, err

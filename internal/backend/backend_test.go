@@ -177,7 +177,7 @@ func TestChunkedScanPreservesCOOOrder(t *testing.T) {
 	const n = 300
 	o := testOracle{graph.RandomOracle{N: n, P: 0.5, Seed: 11}}
 	lists := newTestLists(n, 40, 6, 17)
-	bk := NewBuckets(lists)
+	bk := NewBucketsIn(NewArena(), lists)
 
 	whole := &graph.COO{N: n}
 	bk.scanRows(AsBatch(o), lists, 0, n, NewScratch(n), whole)
@@ -247,8 +247,11 @@ func TestNamesContainsBuiltins(t *testing.T) {
 func TestDeviceOOMPropagates(t *testing.T) {
 	o := testOracle{graph.RandomOracle{N: 400, P: 0.9, Seed: 3}}
 	lists := newTestLists(400, 4, 4, 9) // full palette: every pair conflicts
-	b := gpuBuilder{dev: gpusim.NewDevice("tiny", 2048, 2)}
-	_, _, err := b.Build(context.Background(), o, lists, nil)
+	b, err := New("gpu", Config{Device: gpusim.NewDevice("tiny", 2048, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = b.Build(context.Background(), o, lists, nil)
 	if err == nil {
 		t.Fatal("tiny budget accepted")
 	}
@@ -260,7 +263,7 @@ func TestDeviceOOMPropagates(t *testing.T) {
 
 func TestBucketsInvariants(t *testing.T) {
 	lists := newTestLists(120, 16, 5, 21)
-	bk := NewBuckets(lists)
+	bk := NewBucketsIn(NewArena(), lists)
 	if got := int64(len(bk.Vtx)); got != 120*5 {
 		t.Fatalf("index holds %d entries, want %d", got, 120*5)
 	}
@@ -293,17 +296,17 @@ func TestBucketsInvariants(t *testing.T) {
 }
 
 func TestForRowDeduplicates(t *testing.T) {
-	// Craft heavy overlap: tiny palette, long lists — most pairs share many
-	// colors but must surface exactly once.
+	// CollectRow is the row scan every builder runs. Craft heavy overlap:
+	// tiny palette, long lists — most pairs share many colors but must
+	// surface exactly once.
 	lists := newTestLists(40, 6, 4, 2)
-	bk := NewBuckets(lists)
+	bk := NewBucketsIn(NewArena(), lists)
 	s := NewScratch(40)
 	for i := 0; i < 40; i++ {
 		seen := map[int32]int{}
-		bk.ForRow(lists, i, s, func(j int32) bool {
+		for _, j := range bk.CollectRow(lists, i, s) {
 			seen[j]++
-			return true
-		})
+		}
 		for j, count := range seen {
 			if count != 1 {
 				t.Fatalf("row %d: vertex %d surfaced %d times", i, j, count)
@@ -365,7 +368,7 @@ func TestPairWorkBeatsAllPairsAtPaperRegime(t *testing.T) {
 	n := 10000
 	P, L := n/8, 8
 	lists := newTestLists(n, P, L, 5)
-	bk := NewBuckets(lists)
+	bk := NewBucketsIn(NewArena(), lists)
 	allPairs := int64(n) * int64(n-1) / 2
 	bound := int64(float64(allPairs) * 1.5 * float64(L*L) / float64(P))
 	if pw := bk.PairWork(); pw > bound {

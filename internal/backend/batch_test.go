@@ -7,6 +7,7 @@ import (
 
 	"picasso/internal/gpusim"
 	"picasso/internal/graph"
+	"picasso/internal/memtrack"
 )
 
 // batchTestOracle is a batch-capable test oracle that records whether the
@@ -76,8 +77,8 @@ func TestBatchOracleMatchesPerPairAcrossBuilders(t *testing.T) {
 }
 
 func TestArenaReuseKeepsEdgeSetsIdentical(t *testing.T) {
-	// Builds on a warm arena must be indistinguishable from fresh-buffer
-	// builds, across repeated uses and shrinking/growing instances — the
+	// Builds on a warm arena must be indistinguishable from builds on a
+	// fresh one, across repeated uses and shrinking/growing instances — the
 	// service steady-state contract.
 	shapes := []struct {
 		n, P, L int
@@ -104,16 +105,17 @@ func TestArenaReuseKeepsEdgeSetsIdentical(t *testing.T) {
 			fresh.Device = gpusim.NewDevice("f", 1<<30, 3)
 		}
 		warm := mk(backendName, cfg)
-		cold := mk(backendName, fresh)
 		for round := 0; round < 2; round++ { // second round: arena fully warm
 			for si, sh := range shapes {
 				o := testOracle{graph.RandomOracle{N: sh.n, P: sh.density, Seed: uint64(sh.seed)}}
 				lists := newTestLists(sh.n, sh.P, sh.L, sh.seed)
-				wantCG, wantSt, err := cold.Build(context.Background(), o, lists, nil)
+				cold := mk(backendName, fresh) // a fresh arena per build
+				var wantTr, gotTr memtrack.Tracker
+				wantCG, wantSt, err := cold.Build(context.Background(), o, lists, &wantTr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotCG, gotSt, err := warm.Build(context.Background(), o, lists, nil)
+				gotCG, gotSt, err := warm.Build(context.Background(), o, lists, &gotTr)
 				if err != nil {
 					t.Fatalf("%s round %d shape %d: %v", backendName, round, si, err)
 				}
@@ -132,13 +134,18 @@ func TestArenaReuseKeepsEdgeSetsIdentical(t *testing.T) {
 					t.Errorf("%s round %d shape %d: %d pairs tested, want %d",
 						backendName, round, si, gotSt.PairsTested, wantSt.PairsTested)
 				}
-				// Device accounting must be history-independent: a warm
-				// arena's pooled capacities may exceed this build's needs,
-				// but every budget charge is length-based, so the Algorithm 3
-				// decisions and peaks match a fresh run exactly.
+				// Device and host accounting must be history-independent: a
+				// warm arena's pooled capacities may exceed this build's
+				// needs, but every budget charge is length-based, so the
+				// Algorithm 3 decisions and both peaks match a fresh run
+				// exactly.
 				if gotSt.OnDevice != wantSt.OnDevice || gotSt.DevicePeakBytes != wantSt.DevicePeakBytes {
 					t.Errorf("%s round %d shape %d: device accounting (onDevice %v, peak %d) differs from fresh (%v, %d)",
 						backendName, round, si, gotSt.OnDevice, gotSt.DevicePeakBytes, wantSt.OnDevice, wantSt.DevicePeakBytes)
+				}
+				if gotTr.Peak() != wantTr.Peak() || gotSt.HostBytes != wantSt.HostBytes {
+					t.Errorf("%s round %d shape %d: host accounting (peak %d, CSR %d) differs from fresh (%d, %d)",
+						backendName, round, si, gotTr.Peak(), gotSt.HostBytes, wantTr.Peak(), wantSt.HostBytes)
 				}
 			}
 		}

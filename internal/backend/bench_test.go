@@ -13,7 +13,9 @@ import (
 // palette-bucket inverted-index kernel, on a dense random oracle at the
 // paper's Normal operating point (P = 12.5% of n, L = 8). The bucketed
 // builders touch only the ~L²/P ≈ 5% of pairs that share a candidate color,
-// so they must beat the dense scan by a wide margin at n ≥ 10k.
+// so they must beat the dense scan by a wide margin at n ≥ 10k. Each
+// bucketed arm reuses one builder, so it measures the arena-pooled steady
+// state.
 func BenchmarkConflictBuild(b *testing.B) {
 	for _, n := range []int{2000, 10000} {
 		o := testOracle{graph.RandomOracle{N: n, P: 0.5, Seed: 42}}
@@ -35,11 +37,17 @@ func BenchmarkConflictBuild(b *testing.B) {
 		run("allpairs", func() (*ConflictGraph, Stats, error) {
 			return ReferenceAllPairs(o, lists, nil)
 		})
-		run("bucketed", func() (*ConflictGraph, Stats, error) {
-			return seqBuilder{}.Build(context.Background(), o, lists, nil)
-		})
-		run("bucketed-parallel", func() (*ConflictGraph, Stats, error) {
-			return parBuilder{}.Build(context.Background(), o, lists, nil)
-		})
+		for _, arm := range []struct{ name, backend string }{
+			{"bucketed", "sequential"},
+			{"bucketed-parallel", "parallel"},
+		} {
+			bld, err := New(arm.backend, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(arm.name, func() (*ConflictGraph, Stats, error) {
+				return bld.Build(context.Background(), o, lists, nil)
+			})
+		}
 	}
 }

@@ -11,15 +11,6 @@ import (
 	"picasso/internal/par"
 )
 
-func init() {
-	Register("gpu", func(cfg Config) (ConflictBuilder, error) {
-		if cfg.Device == nil {
-			return nil, fmt.Errorf("backend: gpu backend requires a device")
-		}
-		return gpuBuilder{dev: cfg.Device, arena: cfg.Arena}, nil
-	})
-}
-
 // gpuBuilder mirrors Algorithm 3 on the simulated device.
 type gpuBuilder struct {
 	dev   *gpusim.Device
@@ -46,7 +37,7 @@ func (g gpuBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 		DevicePeakBytes: g.dev.Peak(),
 		PairsTested:     scan.calls,
 	}
-	gc, err := scan.coo.ToCSRInto(scan.deg, a.csrBuf())
+	gc, err := scan.coo.ToCSRInto(scan.deg, &a.csr)
 	if err != nil {
 		return nil, st, err
 	}
@@ -88,11 +79,10 @@ type scanResult struct {
 // footprint, O(n·L)), which shifts OOM crossovers by that small constant —
 // the honest price of shipping the index. Per-worker scratch (a seen-bitset
 // of m bits per "SM") is treated as kernel-local shared memory outside the
-// budget model, like the dense kernel's registers were. The arena (nil =
-// fresh buffers) pools the host-side mirrors of the device allocations
-// across scans. Cancellation (ctx) is checked before the kernel launch and
-// between worker chunks: a cancelled scan returns ctx.Err() with every
-// device allocation released.
+// budget model, like the dense kernel's registers were. The arena pools the
+// host-side mirrors of the device allocations across scans. Cancellation
+// (ctx) is checked before the kernel launch and between worker chunks: a
+// cancelled scan returns ctx.Err() with every device allocation released.
 func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lists, bk *Buckets, a *Arena) (scanResult, error) {
 	m := o.Len()
 	dev.ResetPeak()

@@ -39,21 +39,12 @@ type FixedBuckets struct {
 
 // NewFixedBucketsIn builds the fixed-color index over len(ids) frontier
 // vertices: ids[k] holds palette-local color colors[k], which must lie in
-// [0, P). Index storage (and the counting scratch) comes from the arena;
-// nil allocates fresh. Two counting passes, Θ(|ids| + P) time and space.
+// [0, P). Index storage (and the counting scratch) comes from the arena.
+// Two counting passes, Θ(|ids| + P) time and space.
 func NewFixedBucketsIn(a *Arena, P int, ids, colors []int32) *FixedBuckets {
-	fb := &FixedBuckets{}
-	var cnt []int64
-	if a != nil {
-		if a.fb == nil {
-			a.fb = &FixedBuckets{}
-		}
-		fb = a.fb
-		a.cnt = grow.Zeroed(a.cnt, P)
-		cnt = a.cnt
-	} else {
-		cnt = make([]int64, P)
-	}
+	fb := &a.fb
+	a.cnt = grow.Zeroed(a.cnt, P)
+	cnt := a.cnt
 	fb.P = P
 	for _, c := range colors {
 		cnt[c]++

@@ -55,7 +55,7 @@ func bruteForbidden(o graph.Oracle, offset int, ids, colors []int32, lists Lists
 
 func TestFixedBucketsInvariants(t *testing.T) {
 	_, ids, colors, _ := fixedFixture(130, 0, 11, 4)
-	fb := NewFixedBucketsIn(nil, 11, ids, colors)
+	fb := NewFixedBucketsIn(NewArena(), 11, ids, colors)
 	if got := len(fb.Vtx); got != len(ids) {
 		t.Fatalf("index holds %d entries for %d fixed vertices", got, len(ids))
 	}
@@ -80,18 +80,16 @@ func TestForbidMatchesBruteForce(t *testing.T) {
 	want := bruteForbidden(o, nFixed, ids, colors, lists)
 
 	for _, workers := range []int{1, 4} {
-		for _, arena := range []*Arena{nil, NewArena()} {
-			fb := NewFixedBucketsIn(arena, P, ids, colors)
-			got := make([]bool, nActive*L)
-			tested := fb.Forbid(context.Background(), cross, lists, workers, arena, got)
-			if tested == 0 {
-				t.Fatal("fixed pass tested nothing")
-			}
-			for s := range want {
-				if got[s] != want[s] {
-					t.Fatalf("workers=%d arena=%v: slot %d = %v, want %v",
-						workers, arena != nil, s, got[s], want[s])
-				}
+		arena := NewArena()
+		fb := NewFixedBucketsIn(arena, P, ids, colors)
+		got := make([]bool, nActive*L)
+		tested := fb.Forbid(context.Background(), cross, lists, workers, arena, got)
+		if tested == 0 {
+			t.Fatal("fixed pass tested nothing")
+		}
+		for s := range want {
+			if got[s] != want[s] {
+				t.Fatalf("workers=%d: slot %d = %v, want %v", workers, s, got[s], want[s])
 			}
 		}
 	}

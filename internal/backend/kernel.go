@@ -30,28 +30,14 @@ type Buckets struct {
 	RowWeight []int64
 }
 
-// NewBuckets builds the inverted index in two counting passes over the
-// lists, Θ(n·L) time and space.
-func NewBuckets(lists Lists) *Buckets {
-	return NewBucketsIn(nil, lists)
-}
-
-// NewBucketsIn is NewBuckets drawing the index storage (and the counting
-// scratch) from an arena; a nil arena allocates fresh.
+// NewBucketsIn builds the inverted index in two counting passes over the
+// lists, Θ(n·L) time and space. The index storage and the counting scratch
+// come from the arena; the index is valid until the arena's next build.
 func NewBucketsIn(a *Arena, lists Lists) *Buckets {
 	n, P := lists.Len(), lists.Palette()
-	b := &Buckets{}
-	var cnt []int64
-	if a != nil {
-		if a.bk == nil {
-			a.bk = &Buckets{}
-		}
-		b = a.bk
-		a.cnt = grow.Zeroed(a.cnt, P)
-		cnt = a.cnt
-	} else {
-		cnt = make([]int64, P)
-	}
+	b := &a.bk
+	a.cnt = grow.Zeroed(a.cnt, P)
+	cnt := a.cnt
 	b.P = P
 	for i := 0; i < n; i++ {
 		for _, c := range lists.List(i) {
@@ -131,14 +117,6 @@ func (s *Scratch) hitsFor(n int) []bool {
 	return s.hits
 }
 
-// Bytes returns the scratch footprint: the seen-bitset only. The candidate
-// and hit buffers are transient append storage, excluded from the memory
-// model like all such storage (see ScratchBytes) — and, being arena-pooled,
-// their capacities reflect history, not this build.
-func (s *Scratch) Bytes() int64 {
-	return s.seen.Bytes()
-}
-
 // ScratchBytes returns the bitset footprint of a Scratch for n vertices
 // without allocating one — for charging per-worker scratch to a tracker
 // up front (the candidate slice grows on demand and is excluded, as
@@ -173,20 +151,6 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 	return s.cand
 }
 
-// ForRow calls f exactly once for every vertex j > i sharing at least one
-// candidate color with i (in bucket-discovery order). The bitset is restored
-// to all-zero before f runs, so f may recurse into other rows. Returns false
-// if f aborted the scan. Kept for callers that want per-candidate control;
-// the builders use the batched scan below.
-func (b *Buckets) ForRow(lists Lists, i int, s *Scratch, f func(j int32) bool) bool {
-	for _, j := range b.CollectRow(lists, i, s) {
-		if !f(j) {
-			return false
-		}
-	}
-	return true
-}
-
 // scanRows runs the kernel over rows [lo, hi), appending the surviving
 // edges to coo and returning the number of pairs tested. Each row is one
 // batched edge-oracle consultation: the row's deduplicated candidates are
@@ -216,9 +180,10 @@ func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratc
 
 // ReferenceAllPairs is the pre-bucketing construction kept as the benchmark
 // and equivalence baseline: a sequential scan of all m(m−1)/2 pairs with a
-// per-pair sorted-list intersection. It is not a registered backend — every
+// per-pair sorted-list intersection. New never builds it — every
 // production builder uses the bucket kernel — but the package tests assert
 // edge-set equality against it and BenchmarkConflictBuild measures the gap.
+// Each call builds on a fresh arena.
 func ReferenceAllPairs(o EdgeOracle, lists Lists, tr *memtrack.Tracker) (*ConflictGraph, Stats, error) {
 	m := o.Len()
 	coo := &graph.COO{N: m}
@@ -232,7 +197,7 @@ func ReferenceAllPairs(o EdgeOracle, lists Lists, tr *memtrack.Tracker) (*Confli
 			}
 		}
 	}
-	return finishCOO(coo, tr, st)
+	return finishCOO(NewArena(), coo, tr, st)
 }
 
 // intersectSorted reports whether two ascending slices share an element.

@@ -30,9 +30,11 @@ const (
 var invInputs = []struct {
 	name string
 	o    graph.Oracle
+	big  graph.Oracle // 8·invN vertices of the same kind: grows the reruns' arena
 }{
-	{"random", graph.RandomOracle{N: invN, P: 0.5, Seed: 41}},
-	{"pauli", NewPauliOracle(pauli.RandomSet(16, invN, rand.New(rand.NewSource(8))))},
+	{"random", graph.RandomOracle{N: invN, P: 0.5, Seed: 41}, graph.RandomOracle{N: 8 * invN, P: 0.5, Seed: 42}},
+	{"pauli", NewPauliOracle(pauli.RandomSet(16, invN, rand.New(rand.NewSource(8)))),
+		NewPauliOracle(pauli.RandomSet(16, 8*invN, rand.New(rand.NewSource(9))))},
 }
 
 // invBackends are the conflict-construction paths. Each case gets its own
@@ -57,22 +59,23 @@ const invSequential = 1 // index of "sequential" in invBackends: the reference
 // gpu backend does not charge a CSR it keeps on the device). resume: every
 // checkpoint resumes to the uninterrupted run (budget-derived shard sizes
 // may adapt differently after a resume, so there it resumes to some proper
-// coloring).
+// coloring). lanes: units run concurrently, so the tracked peak depends on
+// how they interleave.
 type invSchedule struct {
-	name          string
-	fixed, resume bool
+	name                 string
+	fixed, resume, lanes bool
 }
 
 var invSchedules = []invSchedule{
-	{"one-shot", true, false},
-	{"stream", true, true},
-	{"stream-budget", false, false},
-	{"speculate-2", true, true},
-	{"speculate-3", true, true},
-	{"speculate-fallback", true, true},
-	{"append", true, true},
-	{"refine", true, false},
-	{"portfolio", true, false},
+	{"one-shot", true, false, false},
+	{"stream", true, true, false},
+	{"stream-budget", false, false, false},
+	{"speculate-2", true, true, true},
+	{"speculate-3", true, true, true},
+	{"speculate-fallback", true, true, false},
+	{"append", true, true, false},
+	{"refine", true, false, false},
+	{"portfolio", true, false, true},
 }
 
 // invCase names one harness case.
@@ -98,24 +101,45 @@ type invRun struct {
 // invHarness memoizes each case's first run, so the references other cases
 // compare against (the sequential backend, the plain stream, the one-shot
 // coloring that append and refine start from) run once, whichever case asks
-// first — a single case rerun alone computes exactly what it needs.
-type invHarness struct{ runs map[invCase]*invRun }
+// first — a single case rerun alone computes exactly what it needs. First
+// runs get a private arena each; reruns share the warm one.
+type invHarness struct {
+	runs map[invCase]*invRun
+	warm *Arena // see rerun
+}
 
 func (h *invHarness) run(t *testing.T, c invCase) *invRun {
 	t.Helper()
 	if r, ok := h.runs[c]; ok {
 		return r
 	}
-	r := h.fresh(t, c)
+	r := h.fresh(t, c, nil)
 	h.runs[c] = r
 	return r
 }
 
-// fresh runs the case without memoization.
-func (h *invHarness) fresh(t *testing.T, c invCase) *invRun {
+// rerun runs the case again on the input's warm arena: it is first grown by
+// a one-shot run of the input's 8·invN-vertex sibling, and every later
+// rerun reuses it, so each rerun starts from buffers sized and dirtied by
+// other runs.
+func (h *invHarness) rerun(t *testing.T, c invCase) *invRun {
+	t.Helper()
+	if h.warm == nil {
+		h.warm = NewArena()
+		opts := Normal(1)
+		opts.Backend, opts.Arena = "sequential", h.warm
+		if _, err := Run(context.Background(), invInputs[c.input].big, opts); err != nil {
+			t.Fatalf("growing the warm arena: %v", err)
+		}
+	}
+	return h.fresh(t, c, h.warm)
+}
+
+// fresh runs the case without memoization, on ar (nil = a private arena).
+func (h *invHarness) fresh(t *testing.T, c invCase, ar *Arena) *invRun {
 	t.Helper()
 	r := &invRun{opts: h.options(t, c), tr: &memtrack.Tracker{}}
-	r.opts.Tracker = r.tr
+	r.opts.Tracker, r.opts.Arena = r.tr, ar
 	r.opts.Checkpoint = func(st RunState) { r.ckpts = append(r.ckpts, st) }
 	res, err := Run(context.Background(), invInputs[c.input].o, r.opts)
 	if err != nil {
@@ -125,7 +149,7 @@ func (h *invHarness) fresh(t *testing.T, c invCase) *invRun {
 	return r
 }
 
-// options builds the case's Options (without Tracker and Checkpoint).
+// options builds the case's Options (without Tracker, Checkpoint and Arena).
 func (h *invHarness) options(t *testing.T, c invCase) Options {
 	t.Helper()
 	opts := Normal(c.seed)
@@ -231,7 +255,8 @@ func sameEntrants(got, want *Result) error {
 // TestInvariants holds every (input, backend, schedule, seed) case to the
 // engine's invariants, stated once:
 //
-//   - the coloring is proper, and a rerun is bit-identical;
+//   - the coloring is proper, and a rerun on a warm arena is bit-identical,
+//     tracked peak included (except where concurrent lanes interleave);
 //   - with fixed shard boundaries the coloring and its work equal the
 //     sequential backend's (the paper's §VII-B1: randomness comes after a
 //     deterministic conflict graph);
@@ -346,11 +371,11 @@ func (h *invHarness) check(t *testing.T, c invCase, sched invSchedule) {
 	r := h.run(t, c)
 	res := r.res
 
-	// Proper, and bit-identical on a rerun.
+	// Proper, and bit-identical on a rerun whose arena other runs warmed.
 	if err := graph.VerifyOracle(o, res.Colors); err != nil {
 		t.Fatalf("coloring not proper: %v", err)
 	}
-	again := h.fresh(t, c)
+	again := h.rerun(t, c)
 	if err := sameColoring(again.res.Colors, res.Colors); err != nil {
 		t.Errorf("rerun: %v", err)
 	}
@@ -359,6 +384,9 @@ func (h *invHarness) check(t *testing.T, c invCase, sched invSchedule) {
 	}
 	if err := sameEntrants(again.res, res); err != nil {
 		t.Errorf("rerun: %v", err)
+	}
+	if !sched.lanes && again.res.HostPeakBytes != res.HostPeakBytes {
+		t.Errorf("rerun tracked peak %d, want %d", again.res.HostPeakBytes, res.HostPeakBytes)
 	}
 
 	// The budget is honest and every tracked byte is released.

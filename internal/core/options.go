@@ -14,14 +14,14 @@
 // Conflict-subgraph construction (Algorithm 1 line 7, Algorithm 3 on
 // devices) is not implemented here: core dispatches it through the
 // backend.ConflictBuilder interface. Options.Backend selects an
-// implementation by registry name ("sequential", "parallel", "gpu"; empty
-// selects automatically from Workers/Device), and Options.Builder injects an
+// implementation by name ("sequential", "parallel", "gpu"; empty selects
+// automatically from Workers/Device), and Options.Builder injects an
 // explicit instance. Core's contribution per iteration is the pair
 // (edgeOracle, colorLists): the iteration-local adjacency view over the
 // active vertices and the candidate lists, both satisfying the backend's
 // interfaces.
 //
-// Every registered backend shares the palette-bucket kernel: vertices are
+// Every backend shares the palette-bucket kernel: vertices are
 // bucketed by candidate color (an inverted index palette → vertices), and
 // only pairs co-occurring in a bucket — exactly the pairs sharing a
 // candidate color — are ever examined, deduplicated with a bitset. Per
@@ -151,15 +151,15 @@ type Options struct {
 	MaxIterations int
 	// Tracker, when non-nil, receives host memory accounting (Table IV).
 	Tracker *memtrack.Tracker
-	// Backend names the conflict-construction backend from the registry:
+	// Backend names the conflict-construction backend (backend.Names):
 	// "sequential", "parallel", "gpu", or "" / "auto" to select from
 	// Workers/Device automatically. The named backend still draws its
 	// resources from this struct (Workers, Device), so e.g. "gpu" without a
 	// Device is a validation error.
 	Backend string
 	// Builder, when non-nil, is an explicit conflict-builder instance and
-	// overrides Backend — the injection point for out-of-registry
-	// implementations (tests, instrumentation wrappers).
+	// overrides Backend — the injection point for other implementations
+	// (tests, instrumentation wrappers).
 	Builder backend.ConflictBuilder
 	// Progress, when non-nil, is invoked once per completed iteration of
 	// Algorithm 1 with that iteration's statistics, before the next

@@ -40,9 +40,9 @@ type lane struct {
 
 // newLane builds an additional lane from the engine's backend
 // configuration. Never called for injected builders (Options.streamLanes
-// forces those sequential), so the registry constructor is always
-// available; the underlying device handles are shared and are safe for
-// concurrent builders.
+// forces those sequential), so backend.New can always build it; the
+// underlying device handles are shared and are safe for concurrent
+// builders.
 func (e *engine) newLane() (*lane, error) {
 	ar := NewArena()
 	bld, err := backend.New(e.opts.Backend, backend.Config{

@@ -61,7 +61,7 @@ func Sweep(o graph.Oracle, edges int64, pfracs, alphas []float64, seed int64, wo
 }
 
 // SweepBackend is Sweep with an explicit conflict-construction backend
-// (registry name; empty selects automatically), so parameter tuning can run
+// (a backend name; empty selects automatically), so parameter tuning can run
 // on the same execution path the tuned configuration will use.
 func SweepBackend(o graph.Oracle, edges int64, pfracs, alphas []float64, seed int64, workers int, backendName string) (*SweepResult, error) {
 	res := &SweepResult{V: o.NumVertices(), E: edges}

@@ -70,7 +70,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := servableBackend(spec.Backend); err != nil {
-		// The name is in the registry (Normalize checked), but this service
+		// The name is a known backend (Normalize checked), but this service
 		// wires no simulated devices into jobs: reject at submission rather
 		// than queue work that is doomed to fail.
 		writeError(w, http.StatusBadRequest,
@@ -304,8 +304,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBackends advertises only the backends this service can actually
-// run — the registry minus device-backed entries, which have no simulated
-// device here.
+// run — every backend name minus the device-backed ones, which have no
+// simulated device here.
 func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	var names []string
 	for _, b := range picasso.Backends() {

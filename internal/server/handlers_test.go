@@ -298,7 +298,7 @@ func TestAuxEndpoints(t *testing.T) {
 	if code := getJSON(t, ts, "/v1/healthz", &health); code != http.StatusOK || health["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, health)
 	}
-	// The registry minus gpu, which needs a device the service does not have.
+	// Every backend but gpu, which needs a device the service does not have.
 	var backends map[string][]string
 	if code := getJSON(t, ts, "/v1/backends", &backends); code != http.StatusOK ||
 		!slices.Equal(backends["backends"], []string{"auto", "parallel", "sequential"}) {

@@ -162,12 +162,6 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 	if opts.MemoryBudgetBytes == 0 && s.cfg.DefaultBudgetBytes > 0 {
 		opts.MemoryBudgetBytes = s.cfg.DefaultBudgetBytes
 	}
-	// The serve-level speculation default applies only to streamed jobs
-	// whose spec left the knob unset — an explicit spec always wins, and
-	// one-shot jobs have no shards to speculate on.
-	if opts.Stream && opts.Speculate == 0 && s.cfg.DefaultSpeculate >= 2 {
-		opts.Speculate = s.cfg.DefaultSpeculate
-	}
 	opts.Arena = arena
 	opts.Progress = func(st picasso.IterStats) {
 		s.mu.Lock()

@@ -56,17 +56,13 @@ type Config struct {
 	// MaxVertices rejects jobs larger than this at admission (0 = 1<<20).
 	MaxVertices int
 	// DefaultBackend is the conflict-construction backend used when a spec
-	// leaves its backend empty ("" keeps the registry's auto selection).
+	// leaves its backend empty ("" keeps the automatic selection).
 	DefaultBackend string
 	// DefaultBudgetBytes arms every job whose spec carries no budget of its
 	// own with this host-memory budget (0 = none). Specs that asked to
 	// stream size their shards from it; one-shot jobs report crossings in
 	// their result summary.
 	DefaultBudgetBytes int64
-	// DefaultSpeculate colors this many shards concurrently (with
-	// cross-shard repair) for streamed jobs whose spec leaves speculate
-	// unset; values below 2 mean off.
-	DefaultSpeculate int
 	// DefaultEntrants races every streamed job whose spec carries no
 	// portfolio block of its own as a portfolio of this many entrants
 	// (values below 2 mean off); an explicit spec always wins. Append and
@@ -121,22 +117,19 @@ func (c *Config) fill() error {
 	if c.DefaultEntrants > c.MaxEntrants {
 		return fmt.Errorf("server: default entrants %d exceed the cap of %d", c.DefaultEntrants, c.MaxEntrants)
 	}
-	if c.DefaultBackend != "" && c.DefaultBackend != "auto" {
-		// Probe the registry with the service's (device-less) resources:
-		// this rejects unknown names AND backends the service cannot run,
-		// such as "gpu" without a simulated device — at startup, not on the
-		// first job.
-		if _, err := backend.New(c.DefaultBackend, backend.Config{}); err != nil {
-			return fmt.Errorf("server: default backend: %w", err)
-		}
+	// Reject unknown names AND backends the service cannot run, such as
+	// "gpu" without a simulated device — at startup, not on the first job.
+	if err := servableBackend(c.DefaultBackend); err != nil {
+		return fmt.Errorf("server: default backend: %w", err)
 	}
 	return nil
 }
 
 // servableBackend reports whether the service can actually run the named
-// backend with the resources it wires into jobs (no simulated devices):
-// the same registry probe job admission and /v1/backends use, so a client
-// is never promised a backend whose jobs are doomed to fail at run time.
+// backend with the resources it wires into jobs (no simulated devices) by
+// probing backend.New with them. Startup, job admission and /v1/backends
+// all ask it, so a client is never promised a backend whose jobs are
+// doomed to fail at run time.
 func servableBackend(name string) error {
 	if name == "" || name == "auto" {
 		return nil

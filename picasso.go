@@ -382,10 +382,9 @@ func NewDevice(name string, capacity int64, workers int) *Device {
 // NewA100 returns the paper's 40 GB device.
 func NewA100() *Device { return gpusim.NewA100() }
 
-// Backends lists the registered conflict-construction backends, "auto"
-// first. Set Options.Backend to one of these names; "auto" (or the empty
-// string) picks from Workers/Device the way the historical inline dispatch
-// did.
+// Backends lists the conflict-construction backend names, "auto" first.
+// Set Options.Backend to one of these names; "auto" (or the empty string)
+// picks from Workers/Device.
 func Backends() []string { return backend.Names() }
 
 // Verify checks that a coloring is proper and complete on an oracle.
