@@ -78,67 +78,101 @@ func testBuilders(t *testing.T) map[string]ConflictBuilder {
 	}
 }
 
+// referenceCases are the list shapes TestBuildersMatchAllPairsReference
+// checks and FuzzBuildersMatchAllPairs starts from: sparse palettes to
+// full-palette (every pair shares a color), graph densities from empty to
+// complete.
+var referenceCases = []struct {
+	n, P, L int
+	density float64
+}{
+	{1, 1, 1, 0.5},
+	{2, 2, 1, 1.0},
+	{60, 8, 3, 0.5},
+	{120, 15, 4, 0.3},
+	{120, 4, 4, 0.9}, // L == P: all pairs conflict
+	{200, 25, 5, 0.0},
+	{200, 25, 5, 1.0},
+	{257, 40, 6, 0.5},
+	// Few candidates over a wide id range: low rows span more bitset words
+	// per candidate than CollectRow walks, top rows walk.
+	{4096, 1024, 1, 0.5},
+}
+
 func TestBuildersMatchAllPairsReference(t *testing.T) {
-	// Every builder must produce a structurally valid conflict CSR with the
-	// exact edge set of the dense all-pairs scan, across list shapes from
-	// sparse palettes to full-palette (every pair shares a color) and graph
-	// densities from empty to complete.
-	cases := []struct {
-		n, P, L int
-		density float64
-	}{
-		{1, 1, 1, 0.5},
-		{2, 2, 1, 1.0},
-		{60, 8, 3, 0.5},
-		{120, 15, 4, 0.3},
-		{120, 4, 4, 0.9}, // L == P: all pairs conflict
-		{200, 25, 5, 0.0},
-		{200, 25, 5, 1.0},
-		{257, 40, 6, 0.5},
+	for ci, tc := range referenceCases {
+		checkBuildersMatchReference(t, fmt.Sprintf("case %d", ci),
+			tc.n, tc.P, tc.L, tc.density, uint64(ci)+7, int64(ci)*13+1)
 	}
-	for ci, tc := range cases {
-		o := testOracle{graph.RandomOracle{N: tc.n, P: tc.density, Seed: uint64(ci) + 7}}
-		lists := newTestLists(tc.n, tc.P, tc.L, int64(ci)*13+1)
-		refCG, refStats, err := ReferenceAllPairs(o, lists, nil)
+}
+
+// FuzzBuildersMatchAllPairs runs every builder on generated shapes against
+// the all-pairs reference. Shapes are folded into n ≤ 512, 1 ≤ P ≤ 4n and
+// 1 ≤ L ≤ min(P, 8), which keeps the O(n²) reference cheap per input; the
+// density is one byte over 255. At n ≤ 512 the seen-bitset is at most 8
+// words, so every row walks; referenceCases' n = 4096 row reaches the
+// discovery-order fallback.
+func FuzzBuildersMatchAllPairs(f *testing.F) {
+	for ci, tc := range referenceCases {
+		f.Add(uint16(tc.n), uint16(tc.P), uint8(tc.L), uint8(tc.density*255), int64(ci)*13+1)
+	}
+	f.Fuzz(func(t *testing.T, n, P uint16, L, density uint8, seed int64) {
+		// In-range values map to themselves; n−1 wraps, so n = 0 folds to 512.
+		nn := 1 + int(n-1)%512
+		pp := 1 + int(P-1)%(4*nn)
+		ll := 1 + int(L-1)%min(pp, 8)
+		checkBuildersMatchReference(t, fmt.Sprintf("n=%d P=%d L=%d density=%d seed=%d", nn, pp, ll, density, seed),
+			nn, pp, ll, float64(density)/255, uint64(seed), seed)
+	})
+}
+
+// checkBuildersMatchReference requires every builder to produce a
+// structurally valid conflict CSR with the exact edge set of the dense
+// all-pairs scan on one shape: n vertices drawing L of P colors from
+// listSeed, over a random graph of the given density from oracleSeed.
+func checkBuildersMatchReference(t *testing.T, label string, n, P, L int, density float64, oracleSeed uint64, listSeed int64) {
+	t.Helper()
+	o := testOracle{graph.RandomOracle{N: n, P: density, Seed: oracleSeed}}
+	lists := newTestLists(n, P, L, listSeed)
+	refCG, refStats, err := ReferenceAllPairs(o, lists, nil)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	want := sortedEdges(t, refCG)
+	wantPairs := int64(n) * int64(n-1) / 2
+	if refStats.PairsTested != wantPairs {
+		t.Fatalf("%s: reference tested %d pairs, want %d", label, refStats.PairsTested, wantPairs)
+	}
+	for name, b := range testBuilders(t) {
+		var tr memtrack.Tracker
+		cg, st, err := b.Build(context.Background(), o, lists, &tr)
 		if err != nil {
-			t.Fatalf("case %d: reference: %v", ci, err)
+			t.Fatalf("%s %s: %v", label, name, err)
 		}
-		want := sortedEdges(t, refCG)
-		wantPairs := int64(tc.n) * int64(tc.n-1) / 2
-		if refStats.PairsTested != wantPairs {
-			t.Fatalf("case %d: reference tested %d pairs, want %d", ci, refStats.PairsTested, wantPairs)
+		// Monotone offsets, in-range sorted neighbours, no self loops,
+		// symmetry.
+		if err := cg.G.Validate(); err != nil {
+			t.Fatalf("%s %s: conflict CSR: %v", label, name, err)
 		}
-		for name, b := range testBuilders(t) {
-			var tr memtrack.Tracker
-			cg, st, err := b.Build(context.Background(), o, lists, &tr)
-			if err != nil {
-				t.Fatalf("case %d %s: %v", ci, name, err)
+		got := sortedEdges(t, cg)
+		if len(got) != len(want) {
+			t.Fatalf("%s %s: %d edges, want %d", label, name, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%s %s: edge %d is %v, want %v", label, name, k, got[k], want[k])
 			}
-			// Monotone offsets, in-range sorted neighbours, no self loops,
-			// symmetry.
-			if err := cg.G.Validate(); err != nil {
-				t.Fatalf("case %d %s: conflict CSR: %v", ci, name, err)
-			}
-			got := sortedEdges(t, cg)
-			if len(got) != len(want) {
-				t.Fatalf("case %d %s: %d edges, want %d", ci, name, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("case %d %s: edge %d is %v, want %v", ci, name, k, got[k], want[k])
-				}
-			}
-			// Bucketed kernels must never consult the oracle more often
-			// than the dense scan, and must ask exactly once per
-			// color-sharing pair.
-			if st.PairsTested > refStats.PairsTested {
-				t.Errorf("case %d %s: %d oracle calls exceed all-pairs %d",
-					ci, name, st.PairsTested, refStats.PairsTested)
-			}
-			tr.Free(st.HostBytes)
-			if tr.Current() != 0 {
-				t.Errorf("case %d %s: leaked %d tracked bytes", ci, name, tr.Current())
-			}
+		}
+		// Bucketed kernels must never consult the oracle more often
+		// than the dense scan, and must ask exactly once per
+		// color-sharing pair.
+		if st.PairsTested > refStats.PairsTested {
+			t.Errorf("%s %s: %d oracle calls exceed all-pairs %d",
+				label, name, st.PairsTested, refStats.PairsTested)
+		}
+		tr.Free(st.HostBytes)
+		if tr.Current() != 0 {
+			t.Errorf("%s %s: leaked %d tracked bytes", label, name, tr.Current())
 		}
 	}
 }
@@ -171,9 +205,9 @@ func TestChunkedScanPreservesCOOOrder(t *testing.T) {
 	// The parallel builder's determinism rests on this: scanning rows in
 	// contiguous chunks and concatenating the per-chunk edge lists in chunk
 	// order must reproduce the sequential scan's raw COO byte-for-byte
-	// (row-major, bucket-discovery order within a row). Compared at the
-	// kernel level — CSR conversion sorts adjacency and would mask order
-	// bugs.
+	// (row-major, and within a row CollectRow's candidate order). Compared
+	// at the kernel level — CSR conversion sorts adjacency and would mask
+	// order bugs.
 	const n = 300
 	o := testOracle{graph.RandomOracle{N: n, P: 0.5, Seed: 11}}
 	lists := newTestLists(n, 40, 6, 17)
@@ -298,13 +332,18 @@ func TestBucketsInvariants(t *testing.T) {
 func TestForRowDeduplicates(t *testing.T) {
 	// CollectRow is the row scan every builder runs. Craft heavy overlap:
 	// tiny palette, long lists — most pairs share many colors but must
-	// surface exactly once.
+	// surface exactly once. 40 vertices fit one bitset word, so every row
+	// is walked and must come back strictly ascending.
 	lists := newTestLists(40, 6, 4, 2)
 	bk := NewBucketsIn(NewArena(), lists)
 	s := NewScratch(40)
 	for i := 0; i < 40; i++ {
 		seen := map[int32]int{}
-		for _, j := range bk.CollectRow(lists, i, s) {
+		row := bk.CollectRow(lists, i, s)
+		for k, j := range row {
+			if k > 0 && row[k-1] >= j {
+				t.Fatalf("row %d not strictly ascending: %v", i, row)
+			}
 			seen[j]++
 		}
 		for j, count := range seen {

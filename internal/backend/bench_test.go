@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"picasso/internal/graph"
@@ -13,15 +12,24 @@ import (
 // palette-bucket inverted-index kernel, on a dense random oracle at the
 // paper's Normal operating point (P = 12.5% of n, L = 8). The bucketed
 // builders touch only the ~L²/P ≈ 5% of pairs that share a candidate color,
-// so they must beat the dense scan by a wide margin at n ≥ 10k. Each
-// bucketed arm reuses one builder, so it measures the arena-pooled steady
-// state.
+// so they must beat the dense scan by a wide margin at n ≥ 10k. The sparse
+// shape (P = n, L = 2) gives most rows a few candidates spread over a wide
+// id range, so CollectRow keeps discovery order there instead of walking
+// its bitset; the Normal shapes walk every row. Each bucketed arm reuses one
+// builder, so it measures the arena-pooled steady state.
 func BenchmarkConflictBuild(b *testing.B) {
-	for _, n := range []int{2000, 10000} {
-		o := testOracle{graph.RandomOracle{N: n, P: 0.5, Seed: 42}}
-		lists := newTestLists(n, n/8, 8, 9)
+	for _, sh := range []struct {
+		name    string
+		n, P, L int
+	}{
+		{"n=2000", 2000, 2000 / 8, 8},
+		{"n=10000", 10000, 10000 / 8, 8},
+		{"sparse/n=10000", 10000, 10000, 2},
+	} {
+		o := testOracle{graph.RandomOracle{N: sh.n, P: 0.5, Seed: 42}}
+		lists := newTestLists(sh.n, sh.P, sh.L, 9)
 		run := func(name string, build func() (*ConflictGraph, Stats, error)) {
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+			b.Run(name+"/"+sh.name, func(b *testing.B) {
 				var edges, calls int64
 				for i := 0; i < b.N; i++ {
 					cg, st, err := build()

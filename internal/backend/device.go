@@ -77,7 +77,10 @@ type scanResult struct {
 // bound), so edge-list sizing matches the dense-scan implementation; the
 // input allocation grows by the bucket index (≈ the color lists' own
 // footprint, O(n·L)), which shifts OOM crossovers by that small constant —
-// the honest price of shipping the index. Per-worker scratch (a seen-bitset
+// the honest price of shipping the index. Workers reach the cursor in no
+// fixed order, so the edge list stays unordered even where CollectRow
+// returns a row ascending, and the CSR conversion's sort does real work
+// here, unlike on the CPU builder. Per-worker scratch (a seen-bitset
 // of m bits per "SM") is treated as kernel-local shared memory outside the
 // budget model, like the dense kernel's registers were. The arena pools the
 // host-side mirrors of the device allocations across scans. Cancellation

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math/bits"
 	"sort"
 
 	"picasso/internal/bitvec"
@@ -125,18 +126,39 @@ func ScratchBytes(n int) int64 {
 	return int64((n+63)/64) * 8
 }
 
+// maxWalkWords bounds the seen-bitset walk: a row whose span holds more than
+// this many bitset words per candidate keeps discovery order instead. The
+// walk reads every spanned word, so a few candidates spread over a wide id
+// range (large sparse instances) would pay more to walk than the CSR
+// conversion pays to sort them.
+const maxWalkWords = 8
+
 // CollectRow gathers row i's deduplicated candidate partners — every j > i
-// sharing at least one candidate color with i, in bucket-discovery order —
-// into the scratch candidate buffer and returns it. Duplicates (pairs
-// sharing several colors) are suppressed with the scratch bitset, which is
-// restored to all-zero before returning. Each bucket is entered at the first
-// member greater than i via binary search: rows near the top of a bucket
-// never rescan the vertices below them. The returned slice is valid until
-// the next collection on the same Scratch.
+// sharing at least one candidate color with i — into the scratch candidate
+// buffer and returns it. Duplicates (pairs sharing several colors) are
+// suppressed with the scratch bitset, which is restored to all-zero before
+// returning. Each bucket is entered at the first member greater than i via
+// binary search: rows near the top of a bucket never rescan the vertices
+// below them.
+//
+// The candidates come back ascending when the row is walked: the bitset
+// words from i+1 to the row's largest candidate are read in order and
+// zeroed as they are read, so the row needs no comparison sort. A row whose
+// span holds more than maxWalkWords words per candidate is left in
+// bucket-discovery order and its bits are cleared one by one. The returned
+// slice is valid until the next collection on the same Scratch.
 func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 	s.cand = s.cand[:0]
+	hi := int32(i)
 	for _, c := range lists.List(i) {
 		members := b.Vtx[b.Off[c]:b.Off[c+1]]
+		// Every bucket of i holds i and is ascending: its last member bounds
+		// the candidates it adds, and a bucket ending at i adds none.
+		last := members[len(members)-1]
+		if last <= int32(i) {
+			continue
+		}
+		hi = max(hi, last)
 		k := sort.Search(len(members), func(k int) bool { return members[k] > int32(i) })
 		for _, j := range members[k:] {
 			if !s.seen.Test(int(j)) {
@@ -145,8 +167,23 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 			}
 		}
 	}
-	for _, j := range s.cand {
-		s.seen.Clear(int(j))
+	wlo, whi := (i+1)>>6, int(hi)>>6
+	if whi-wlo+1 > maxWalkWords*len(s.cand) {
+		for _, j := range s.cand {
+			s.seen.Clear(int(j))
+		}
+		return s.cand
+	}
+	// The walk emits exactly the collected candidates, so it refills the
+	// buffer in place without growing it.
+	s.cand = s.cand[:0]
+	for w := wlo; w <= whi; w++ {
+		word := s.seen[w]
+		s.seen[w] = 0
+		for word != 0 {
+			s.cand = append(s.cand, int32(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
 	}
 	return s.cand
 }
@@ -156,9 +193,9 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 // batched edge-oracle consultation: the row's deduplicated candidates are
 // collected, tested in a single HasRow call (bucket co-occurrence already
 // proved each pair shares a color), and the hits appended in candidate
-// order — bit-identical COO output to the historical per-pair loop, minus
-// a closure call and an oracle dispatch per pair. This is the one
-// conflict-test loop every builder executes.
+// order. The COO is therefore row-major, and ascending within every row
+// CollectRow walks. This is the one conflict-test loop every builder
+// executes.
 func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratch, coo *graph.COO) int64 {
 	var calls int64
 	for i := lo; i < hi; i++ {

@@ -6,9 +6,11 @@ import (
 	"picasso/internal/grow"
 )
 
-// COO is an unordered edge list, the intermediate the conflict-graph kernel
-// emits before CSR conversion (paper Algorithm 3: "we are left with an
-// unordered edge list").
+// COO is an edge list, the intermediate the conflict-graph kernel emits
+// before CSR conversion (paper Algorithm 3: "we are left with an unordered
+// edge list"). No order is required. The CPU builder's COO is row-major,
+// with every row it walked ascending; the simulated device's COO is
+// unordered, because rows claim their slots through an atomic cursor.
 type COO struct {
 	N int
 	U []int32
@@ -48,11 +50,11 @@ func ExclusiveSumInto(counts, out []int64) []int64 {
 	return out
 }
 
-// ToCSR converts the unordered edge list to CSR, given the per-vertex edge
-// counts accumulated during edge generation. This is the host-side
-// generate_csr path of Algorithm 3: each edge is placed twice using a
-// cursor per vertex, then adjacency lists are sorted. The degrees slice is
-// consumed as cursor scratch and holds garbage afterwards.
+// ToCSR converts the edge list to CSR, given the per-vertex edge counts
+// accumulated during edge generation. This is the host-side generate_csr
+// path of Algorithm 3: each edge is placed twice using a cursor per vertex,
+// then adjacency lists are sorted. The degrees slice is consumed as cursor
+// scratch and holds garbage afterwards.
 func (c *COO) ToCSR(degrees []int64) (*CSR, error) {
 	return c.ToCSRInto(degrees, nil)
 }
@@ -62,6 +64,13 @@ func (c *COO) ToCSR(degrees []int64) (*CSR, error) {
 // zero-allocation steady-state path: an iteration loop or a service worker
 // converts every conflict COO into the same pooled CSR storage. As with
 // ToCSR, degrees is consumed as cursor scratch.
+//
+// From a row-major COO whose edges run from the row's vertex to a higher
+// one, CSR row u receives its lower neighbours in row order and then its
+// upper neighbours in the order row u listed them. So every row whose own
+// edges are ascending fills already sorted, and the per-row sort confirms it
+// in one linear pass: that is every row the CPU builder walked. Its other
+// rows, and the device builder's unordered COO, are sorted for real.
 func (c *COO) ToCSRInto(degrees []int64, g *CSR) (*CSR, error) {
 	if len(degrees) != c.N {
 		return nil, fmt.Errorf("graph: %d degrees for %d vertices", len(degrees), c.N)
