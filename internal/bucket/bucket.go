@@ -12,7 +12,7 @@ import (
 	"picasso/internal/grow"
 )
 
-// None is returned by PopMin on an empty structure.
+// None is returned by PickFromMin on an empty structure.
 const None int32 = -1
 
 // Array is a bucket-array of vertex ids keyed by an integer priority in
@@ -53,9 +53,6 @@ func (b *Array) Reset(n, maxKey int) {
 
 // Len returns the number of stored vertices.
 func (b *Array) Len() int { return b.size }
-
-// Contains reports whether v is currently stored.
-func (b *Array) Contains(v int32) bool { return b.key[v] >= 0 }
 
 // Key returns the current key of v, or -1 if absent.
 func (b *Array) Key(v int32) int32 { return b.key[v] }

@@ -20,45 +20,63 @@ type listColorResult struct {
 // an L-wide slot per conflict vertex with a live-length counter — instead of
 // a slice header and a heap allocation per vertex: list removal is a
 // swap-with-last plus a counter decrement, and the whole structure recycles
-// through the arena.
+// through the arena. Each vertex also carries a 64-bit signature of its live
+// list (bit c&63 set for every live color c), kept exact on every strike
+// and zeroed once the vertex is colored or its list empties: a clear bit
+// proves the color is absent, so Algorithm 2 skips such a neighbor with one
+// word test.
 type mutableLists struct {
 	L     int
 	slab  []int32
-	slot  []int32 // per conflict-graph vertex id: L-wide slot index (offset = slot·L, computed in int so slabs past 2^31 entries stay addressable)
-	count []int32 // per conflict-graph vertex id: live list length
+	slot  []int32  // per conflict-graph vertex id: L-wide slot index (offset = slot·L, computed in int so slabs past 2^31 entries stay addressable)
+	count []int32  // per conflict-graph vertex id: live list length
+	sig   []uint64 // per conflict-graph vertex id: live-list signature, 0 = can hold no color
 }
 
 // newMutableLists copies the conflicted vertices' candidate lists into the
 // arena's slab, skipping the slots a streamed run's fixed-color pass marked
-// forbidden (nil = keep everything, the one-shot path). start/count entries
-// of unconflicted vertices are left untouched (garbage): only conflict
+// forbidden (nil = keep everything, the one-shot path), and writes each
+// one's signature from the copied live list. slot/count/sig entries of
+// unconflicted vertices are left untouched (garbage): only conflict
 // vertices are ever looked up. A vertex whose whole list was forbidden ends
-// up with count 0 — the callers route it straight to the failed set.
+// up with count 0 and signature 0 — the callers route it straight to the
+// failed set.
 func newMutableLists(cl *colorLists, conflicted []int32, forbidden []bool, ar *Arena) *mutableLists {
 	ml := &ar.ml
 	ml.L = cl.L
 	ml.slab = grow.Slice(ml.slab, len(conflicted)*cl.L)
 	ml.slot = grow.Slice(ml.slot, cl.n)
 	ml.count = grow.Slice(ml.count, cl.n)
+	ml.sig = grow.Slice(ml.sig, cl.n)
 	for slot, v := range conflicted {
 		off := slot * cl.L
+		live := cl.L
 		if forbidden == nil {
 			copy(ml.slab[off:off+cl.L], cl.list(int(v)))
-			ml.slot[v] = int32(slot)
-			ml.count[v] = int32(cl.L)
-			continue
-		}
-		live := 0
-		for k, c := range cl.list(int(v)) {
-			if !forbidden[int(v)*cl.L+k] {
-				ml.slab[off+live] = c
-				live++
+		} else {
+			live = 0
+			for k, c := range cl.list(int(v)) {
+				if !forbidden[int(v)*cl.L+k] {
+					ml.slab[off+live] = c
+					live++
+				}
 			}
 		}
 		ml.slot[v] = int32(slot)
 		ml.count[v] = int32(live)
+		ml.sig[v] = signature(ml.slab[off : off+live])
 	}
 	return ml
+}
+
+// signature returns the 64-bit summary of a live list: bit c&63 set for
+// every color c in it.
+func signature(lst []int32) uint64 {
+	var sig uint64
+	for _, c := range lst {
+		sig |= 1 << (uint32(c) & 63)
+	}
+	return sig
 }
 
 // list returns vertex v's live candidate colors.
@@ -68,7 +86,9 @@ func (ml *mutableLists) list(v int32) []int32 {
 }
 
 // remove deletes color c from vertex v's list if present (swap-with-last;
-// order is irrelevant at this stage). Reports whether a removal happened.
+// order is irrelevant at this stage) and recomputes v's signature from the
+// remaining list, so another color aliasing c modulo 64 keeps its bit.
+// Reports whether a removal happened.
 func (ml *mutableLists) remove(v int32, c int32) bool {
 	lst := ml.list(v)
 	n := len(lst)
@@ -76,6 +96,7 @@ func (ml *mutableLists) remove(v int32, c int32) bool {
 		if x == c {
 			lst[i] = lst[n-1]
 			ml.count[v] = int32(n - 1)
+			ml.sig[v] = signature(lst[:n-1])
 			return true
 		}
 	}
@@ -87,9 +108,12 @@ func (ml *mutableLists) remove(v int32, c int32) bool {
 // the lowest (most constrained) bucket, give it a uniformly random color
 // from its list, and strike that color from all uncolored conflict
 // neighbors, re-bucketing them (or declaring them failed when their list
-// empties). Runtime O((|Vc|+|Ec|)·L) — the heap-free bound of §IV-B. In
-// streamed runs the forbidden mask pre-strikes colors held by adjacent
-// fixed-frontier vertices; a vertex left with nothing fails immediately.
+// empties). Runtime O((|Vc|+|Ec|)·L) — the heap-free bound of §IV-B — but a
+// neighbor whose live-list signature lacks the picked color's bit (every
+// colored or failed one, and every uncolored one holding no color congruent
+// to it modulo 64) costs one word test instead of a list scan. In streamed
+// runs the forbidden mask pre-strikes colors held by adjacent fixed-frontier
+// vertices; a vertex left with nothing fails immediately.
 func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, forbidden []bool, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
 	ml := newMutableLists(cl, conflicted, forbidden, ar)
 	assign := ar.assignBuf(cl.n)
@@ -115,10 +139,12 @@ func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, for
 			c = lst[rng.Intn(len(lst))]
 		}
 		assign[v] = c
+		ml.sig[v] = 0
 		b.Remove(v)
 		res.colored++
+		bit := uint64(1) << (uint32(c) & 63)
 		for _, u := range gc.Neighbors(int(v)) {
-			if assign[u] != -1 || !b.Contains(u) {
+			if ml.sig[u]&bit == 0 {
 				continue
 			}
 			if !ml.remove(u, c) {
