@@ -65,7 +65,8 @@ func BenchmarkTable3Quality(b *testing.B) {
 }
 
 // BenchmarkTable4Memory regenerates the peak-memory comparison (paper
-// Table IV) under the byte-exact accounting model.
+// Table IV) under the memtrack accounting model, exact for what it charges
+// (ARCHITECTURE.md lists what it does not).
 func BenchmarkTable4Memory(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {

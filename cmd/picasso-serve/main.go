@@ -17,7 +17,7 @@
 //	GET    /v1/jobs/{id}/groups  color classes / unitary groups (when done)
 //	GET    /v1/healthz           liveness
 //	GET    /v1/stats             lifetime counters
-//	GET    /v1/backends          registered conflict-build backends
+//	GET    /v1/backends          the conflict-build backends
 //	GET    /v1/instances         Table II instance names
 //
 // Example session:

@@ -6,24 +6,31 @@ import (
 )
 
 // Arena pools the working storage of conflict-graph construction — the
-// bucket index, per-worker kernel scratch and edge buffers, the device
-// edge-list mirrors, and the conflict CSR backing — so a steady-state caller
-// (the iteration loop, a service worker recoloring job after job) reuses one
-// set of allocations instead of re-making them every build. Buffers grow to
-// the largest build seen and are retained, except the device's worst-case
-// edge mirrors, whose retention is bounded (see maxRetainedDeviceEdges).
+// bucket index, per-worker kernel scratch and edge buffers, the CSR
+// conversion's cursors, the device edge-list mirrors, and the conflict CSR
+// backing — so a steady-state caller (the iteration loop, a service worker
+// recoloring job after job) reuses one set of allocations instead of
+// re-making them every build. Buffers grow to the largest build seen and are
+// retained, except the device's worst-case edge mirrors, whose retention is
+// bounded (see maxRetainedDeviceEdges).
 //
 // An Arena is NOT safe for concurrent use: hold one per goroutine (the
 // coloring service keeps one per pool worker). Builds running on one arena
 // may still fan out internally — worker lanes are reserved serially before
 // the parallel section, so each goroutine touches only its own lane.
 type Arena struct {
-	bk    Buckets
-	fb    FixedBuckets // streaming fixed-color index (fixed.go)
-	cnt   []int64      // bucket counting/cursor scratch (palette-sized)
-	lanes []workerLane
-	calls []int64
-	deg   []int64 // CSR degree scratch, or the device kernel's counters
+	bk  Buckets
+	fb  FixedBuckets // streaming fixed-color index (fixed.go)
+	cnt []int64      // bucket counting/cursor scratch (palette-sized)
+	// Worker lane w owns scratches[w] and laneCOO[w]. A CPU lane's edge
+	// buffer holds its row band's edges and is one input of the
+	// lane-parallel CSR conversion; a device "SM" uses only the scratch.
+	scratches []*Scratch
+	laneCOO   []graph.COO
+	calls     []int64
+	// deg holds the CPU conversion's group cursors, or the device kernel's
+	// degree counters.
+	deg []int64
 	// csr backs the conflict CSR a build hands back, valid until the next
 	// build on the arena — the iteration-at-a-time lifetime core gives it.
 	csr graph.CSR
@@ -34,54 +41,41 @@ type Arena struct {
 // NewArena returns an empty arena; storage grows on first use.
 func NewArena() *Arena { return &Arena{} }
 
-// workerLane is one kernel worker's private state: a CPU worker's, or a
-// device "SM"'s (which uses only the scratch). Lane 0's edge buffer is also
-// the CPU build's merged edge list.
-type workerLane struct {
-	s   *Scratch
-	coo graph.COO
-}
-
-// reserveLanes grows the worker-lane table to count lanes. Must be
+// reserveLanes grows the worker-lane tables to count lanes. Must be
 // called serially before concurrent lane access.
 func (a *Arena) reserveLanes(count int) {
-	for len(a.lanes) < count {
-		a.lanes = append(a.lanes, workerLane{})
+	for len(a.scratches) < count {
+		a.scratches = append(a.scratches, nil)
+		a.laneCOO = append(a.laneCOO, graph.COO{})
 	}
 }
 
 // emptyLanes empties the edge buffers of the first count lanes for n
-// vertices. The buffers keep their capacity, so growth through Append is
-// retained for the next build.
-func (a *Arena) emptyLanes(count, n int) {
-	for w := range a.lanes[:count] {
-		c := &a.lanes[w].coo
+// vertices and returns them. The buffers keep their capacity, so growth
+// during a scan is retained for the next build.
+func (a *Arena) emptyLanes(count, n int) []graph.COO {
+	lanes := a.laneCOO[:count]
+	for w := range lanes {
+		c := &lanes[w]
 		c.N, c.U, c.V = n, c.U[:0], c.V[:0]
 	}
+	return lanes
 }
 
 // scratch returns worker lane w's kernel scratch, grown for n vertices.
 func (a *Arena) scratch(w, n int) *Scratch {
-	ln := &a.lanes[w]
-	if ln.s == nil {
-		ln.s = NewScratch(n)
+	if a.scratches[w] == nil {
+		a.scratches[w] = NewScratch(n)
 	} else {
-		ln.s.grow(n)
+		a.scratches[w].grow(n)
 	}
-	return ln.s
+	return a.scratches[w]
 }
 
 // callsBuf returns a zeroed per-worker call-count buffer.
 func (a *Arena) callsBuf(n int) []int64 {
 	a.calls = grow.Zeroed(a.calls, n)
 	return a.calls
-}
-
-// degBuf returns the degree scratch for CSR conversion (contents garbage;
-// CountDegreesInto zeroes it).
-func (a *Arena) degBuf(n int) []int64 {
-	a.deg = grow.Slice(a.deg, n)
-	return a.deg
 }
 
 // maxRetainedDeviceEdges bounds the device edge-mirror capacity an arena

@@ -202,21 +202,3 @@ func New(name string, cfg Config) (ConflictBuilder, error) {
 func Names() []string {
 	return []string{"auto", "gpu", "parallel", "sequential"}
 }
-
-// finishCOO converts a host-side edge list to CSR and fills in the host
-// accounting: the transient COO is charged for the duration of the
-// conversion, the resulting CSR stays charged (Stats.HostBytes) for the
-// caller to free. The degree scratch and the CSR backing come from the
-// arena; the CSR is lent to the returned ConflictGraph until the arena's
-// next build.
-func finishCOO(a *Arena, coo *graph.COO, tr *memtrack.Tracker, st Stats) (*ConflictGraph, Stats, error) {
-	release := tr.Scoped(coo.Bytes())
-	gc, err := coo.ToCSRInto(coo.CountDegreesInto(a.degBuf(coo.N)), &a.csr)
-	release()
-	if err != nil {
-		return nil, st, err
-	}
-	tr.Alloc(gc.Bytes())
-	st.HostBytes = gc.Bytes()
-	return &ConflictGraph{G: gc, Edges: int64(coo.NumEdges())}, st, nil
-}

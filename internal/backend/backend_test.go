@@ -97,6 +97,9 @@ var referenceCases = []struct {
 	// Few candidates over a wide id range: low rows span more bitset words
 	// per candidate than CollectRow walks, top rows walk.
 	{4096, 1024, 1, 0.5},
+	// The same with two buckets per row, so a fallback row's candidates
+	// come back out of order and the kernel must sort its hits.
+	{4096, 4096, 2, 0.5},
 }
 
 func TestBuildersMatchAllPairsReference(t *testing.T) {
@@ -204,36 +207,52 @@ func TestOracleCallCountMatchesSharingPairs(t *testing.T) {
 func TestChunkedScanPreservesCOOOrder(t *testing.T) {
 	// The parallel builder's determinism rests on this: scanning rows in
 	// contiguous chunks and concatenating the per-chunk edge lists in chunk
-	// order must reproduce the sequential scan's raw COO byte-for-byte
-	// (row-major, and within a row CollectRow's candidate order). Compared
-	// at the kernel level — CSR conversion sorts adjacency and would mask
-	// order bugs.
-	const n = 300
-	o := testOracle{graph.RandomOracle{N: n, P: 0.5, Seed: 11}}
-	lists := newTestLists(n, 40, 6, 17)
-	bk := NewBucketsIn(NewArena(), lists)
+	// order must reproduce the sequential scan's raw COO byte-for-byte. The
+	// CPU builder's CSR conversion does not sort, so both COOs must also be
+	// row-major with every row strictly ascending: walked rows and the
+	// discovery-order fallback rows of the P = n, L = 2 shape alike.
+	for _, tc := range []struct {
+		n, P, L int
+		cuts    []int
+	}{
+		{300, 40, 6, []int{0, 97, 201, 300}},
+		{4096, 4096, 2, []int{0, 1365, 2731, 4096}},
+	} {
+		n := tc.n
+		o := testOracle{graph.RandomOracle{N: n, P: 0.5, Seed: 11}}
+		lists := newTestLists(n, tc.P, tc.L, 17)
+		bk := NewBucketsIn(NewArena(), lists)
 
-	whole := &graph.COO{N: n}
-	bk.scanRows(AsBatch(o), lists, 0, n, NewScratch(n), whole)
+		whole := &graph.COO{N: n}
+		bk.scanRows(AsBatch(o), lists, 0, n, NewScratch(n), whole)
 
-	chunked := &graph.COO{N: n}
-	for _, cut := range [][2]int{{0, 97}, {97, 201}, {201, n}} {
-		part := &graph.COO{N: n}
-		bk.scanRows(AsBatch(o), lists, cut[0], cut[1], NewScratch(n), part)
-		chunked.U = append(chunked.U, part.U...)
-		chunked.V = append(chunked.V, part.V...)
-	}
+		chunked := &graph.COO{N: n}
+		for c := 1; c < len(tc.cuts); c++ {
+			part := &graph.COO{N: n}
+			bk.scanRows(AsBatch(o), lists, tc.cuts[c-1], tc.cuts[c], NewScratch(n), part)
+			chunked.U = append(chunked.U, part.U...)
+			chunked.V = append(chunked.V, part.V...)
+		}
 
-	if len(whole.U) == 0 {
-		t.Fatal("test instance produced no edges")
-	}
-	if len(whole.U) != len(chunked.U) {
-		t.Fatalf("edge counts differ: %d vs %d", len(whole.U), len(chunked.U))
-	}
-	for k := range whole.U {
-		if whole.U[k] != chunked.U[k] || whole.V[k] != chunked.V[k] {
-			t.Fatalf("COO entry %d differs: (%d,%d) vs (%d,%d)",
-				k, whole.U[k], whole.V[k], chunked.U[k], chunked.V[k])
+		if len(whole.U) == 0 {
+			t.Fatalf("n=%d: test instance produced no edges", n)
+		}
+		if len(whole.U) != len(chunked.U) {
+			t.Fatalf("n=%d: edge counts differ: %d vs %d", n, len(whole.U), len(chunked.U))
+		}
+		for k := range whole.U {
+			if whole.U[k] != chunked.U[k] || whole.V[k] != chunked.V[k] {
+				t.Fatalf("n=%d: COO entry %d differs: (%d,%d) vs (%d,%d)",
+					n, k, whole.U[k], whole.V[k], chunked.U[k], chunked.V[k])
+			}
+		}
+		for name, coo := range map[string]*graph.COO{"whole": whole, "chunked": chunked} {
+			for k := 1; k < len(coo.U); k++ {
+				if coo.U[k] < coo.U[k-1] || coo.U[k] == coo.U[k-1] && coo.V[k] <= coo.V[k-1] {
+					t.Fatalf("n=%d %s: COO entry %d (%d,%d) does not follow (%d,%d)",
+						n, name, k, coo.U[k], coo.V[k], coo.U[k-1], coo.V[k-1])
+				}
+			}
 		}
 	}
 }

@@ -3,17 +3,21 @@ package backend
 import (
 	"context"
 
+	"picasso/internal/graph"
+	"picasso/internal/grow"
 	"picasso/internal/memtrack"
 	"picasso/internal/par"
 )
 
 // cpuBuilder is the CPU path: "sequential" is one worker (the paper's "CPU
 // only" configuration), "parallel" is many. Rows are split into contiguous
-// chunks balanced by the buckets' per-row pair weights (not by row count —
-// candidate pairs are triangular and bucket-skewed), each worker runs the
-// kernel into its lane's edge buffer with private scratch, and the lanes
-// are concatenated in worker order, so the edge list — and therefore the
-// downstream coloring — is the same for every worker count.
+// bands balanced by the buckets' per-row pair weights (not by row count —
+// candidate pairs are triangular and bucket-skewed), and each worker runs
+// the kernel over its band into its lane's edge buffer with private
+// scratch. The lanes are never merged: RowLanesToCSRInto converts them in
+// place, a group of lanes per goroutine, into CSR rows that come out sorted
+// because every lane is row-major and row-ascending. The CSR — and
+// therefore the downstream coloring — is the same for every worker count.
 type cpuBuilder struct {
 	name    string
 	workers int // 0 = GOMAXPROCS
@@ -33,9 +37,9 @@ func (b cpuBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 	}
 	a := b.arena
 	bk := NewBucketsIn(a, lists)
-	// Charge the index plus every worker's seen-bitset for this build: the
-	// byte-exact memory model says workers× the scratch of one worker, and
-	// never what a warm arena retains from a larger build.
+	// Charge the index plus every worker's seen-bitset for this build —
+	// workers× the scratch of one worker, never what a warm arena retains
+	// from a larger build.
 	release := tr.Scoped(bk.Bytes() + int64(workers)*ScratchBytes(m))
 	defer release()
 	if err := Cancelled(ctx); err != nil {
@@ -45,28 +49,41 @@ func (b cpuBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 	// Lanes are reserved and emptied serially here; inside the weighted loop
 	// each worker touches only its own lane, so arena reuse stays race-free.
 	a.reserveLanes(workers)
-	a.emptyLanes(workers, m)
+	lanes := a.emptyLanes(workers, m)
 	bo := AsBatch(o)
 	calls := a.callsBuf(workers)
 	par.ForWeightedChunks(workers, bk.RowWeight, func(lo, hi, w int) {
 		if Cancelled(ctx) != nil {
 			return
 		}
-		calls[w] = bk.scanRows(bo, lists, lo, hi, a.scratch(w, m), &a.lanes[w].coo)
+		calls[w] = bk.scanRows(bo, lists, lo, hi, a.scratch(w, m), &lanes[w])
 	})
 	if err := Cancelled(ctx); err != nil {
 		return nil, Stats{}, err
 	}
 
-	// Lane 0 is the merge target: the later lanes follow it in worker order,
-	// and a one-worker build copies nothing.
-	coo := &a.lanes[0].coo
-	st := Stats{PairsTested: calls[0]}
-	for w := 1; w < workers; w++ {
-		local := &a.lanes[w].coo
-		coo.U = append(coo.U, local.U...)
-		coo.V = append(coo.V, local.V...)
+	var st Stats
+	var edges, cooBytes int64
+	for w := range lanes {
 		st.PairsTested += calls[w]
+		edges += int64(lanes[w].NumEdges())
+		cooBytes += lanes[w].Bytes()
 	}
-	return finishCOO(a, coo, tr, st)
+	// One group per |Ec|/m edges, at most one per lane: the groups' cursors
+	// (8m bytes each) then never exceed the edge list they convert (8|Ec|
+	// bytes), and a build with fewer edges than vertices uses one group.
+	groups := int(min(max(edges/int64(max(m, 1)), 1), int64(workers)))
+	a.deg = grow.Slice(a.deg, groups*m)
+	// The lanes are charged for the duration of the conversion, then the
+	// CSR stays charged (Stats.HostBytes) for the caller to free. The CSR is
+	// lent to the returned ConflictGraph until the arena's next build.
+	releaseCOO := tr.Scoped(cooBytes)
+	gc, err := graph.RowLanesToCSRInto(lanes, groups, a.deg, &a.csr)
+	releaseCOO()
+	if err != nil {
+		return nil, st, err
+	}
+	tr.Alloc(gc.Bytes())
+	st.HostBytes = gc.Bytes()
+	return &ConflictGraph{G: gc, Edges: edges}, st, nil
 }

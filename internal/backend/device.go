@@ -79,13 +79,14 @@ type scanResult struct {
 // footprint, O(n·L)), which shifts OOM crossovers by that small constant —
 // the honest price of shipping the index. Workers reach the cursor in no
 // fixed order, so the edge list stays unordered even where CollectRow
-// returns a row ascending, and the CSR conversion's sort does real work
-// here, unlike on the CPU builder. Per-worker scratch (a seen-bitset
-// of m bits per "SM") is treated as kernel-local shared memory outside the
-// budget model, like the dense kernel's registers were. The arena pools the
-// host-side mirrors of the device allocations across scans. Cancellation
-// (ctx) is checked before the kernel launch and between worker chunks: a
-// cancelled scan returns ctx.Err() with every device allocation released.
+// returns a row ascending, and the CSR conversion (COO.ToCSRInto) sorts
+// every row; the CPU builder's row-ordered lanes need no sort. Per-worker
+// scratch (a seen-bitset of m bits per "SM") is treated as kernel-local
+// shared memory outside the budget model, like the dense kernel's
+// registers were. The arena pools the host-side mirrors of the device
+// allocations across scans. Cancellation (ctx) is checked before the
+// kernel launch and between worker chunks: a cancelled scan returns
+// ctx.Err() with every device allocation released.
 func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lists, bk *Buckets, a *Arena) (scanResult, error) {
 	m := o.Len()
 	dev.ResetPeak()

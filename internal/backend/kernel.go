@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"picasso/internal/bitvec"
@@ -89,13 +90,15 @@ func (b *Buckets) PairWork() int64 {
 }
 
 // Scratch is the per-worker state of the row scan: a seen-bitset, the
-// candidate list of the current row, and the batch-test hit buffer. One
-// Scratch may be reused across any number of sequential row scans;
-// concurrent rows need separate Scratches.
+// candidate list of the current row, whether that row was walked (so came
+// back ascending), and the batch-test hit buffer. One Scratch may be reused
+// across any number of sequential row scans; concurrent rows need separate
+// Scratches.
 type Scratch struct {
-	seen bitvec.Bits
-	cand []int32
-	hits []bool
+	seen   bitvec.Bits
+	cand   []int32
+	walked bool
+	hits   []bool
 }
 
 // NewScratch returns scratch state for graphs of n vertices.
@@ -129,8 +132,8 @@ func ScratchBytes(n int) int64 {
 // maxWalkWords bounds the seen-bitset walk: a row whose span holds more than
 // this many bitset words per candidate keeps discovery order instead. The
 // walk reads every spanned word, so a few candidates spread over a wide id
-// range (large sparse instances) would pay more to walk than the CSR
-// conversion pays to sort them.
+// range (large sparse instances) would pay more to walk than sorting the
+// row's few hits costs.
 const maxWalkWords = 8
 
 // CollectRow gathers row i's deduplicated candidate partners — every j > i
@@ -145,8 +148,9 @@ const maxWalkWords = 8
 // words from i+1 to the row's largest candidate are read in order and
 // zeroed as they are read, so the row needs no comparison sort. A row whose
 // span holds more than maxWalkWords words per candidate is left in
-// bucket-discovery order and its bits are cleared one by one. The returned
-// slice is valid until the next collection on the same Scratch.
+// bucket-discovery order and its bits are cleared one by one; s.walked
+// reports which of the two the row took. The returned slice is valid until
+// the next collection on the same Scratch.
 func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 	s.cand = s.cand[:0]
 	hi := int32(i)
@@ -168,7 +172,8 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 		}
 	}
 	wlo, whi := (i+1)>>6, int(hi)>>6
-	if whi-wlo+1 > maxWalkWords*len(s.cand) {
+	s.walked = whi-wlo+1 <= maxWalkWords*len(s.cand)
+	if !s.walked {
 		for _, j := range s.cand {
 			s.seen.Clear(int(j))
 		}
@@ -191,11 +196,15 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 // scanRows runs the kernel over rows [lo, hi), appending the surviving
 // edges to coo and returning the number of pairs tested. Each row is one
 // batched edge-oracle consultation: the row's deduplicated candidates are
-// collected, tested in a single HasRow call (bucket co-occurrence already
-// proved each pair shares a color), and the hits appended in candidate
-// order. The COO is therefore row-major, and ascending within every row
-// CollectRow walks. This is the one conflict-test loop every builder
-// executes.
+// collected and tested in a single HasRow call (bucket co-occurrence
+// already proved each pair shares a color). The hits are emitted without a
+// branch per candidate: every candidate is stored at the next free V slot
+// and the length advances by its hit, so Pauli rows, where about half the
+// candidates are edges, mispredict nothing. A row CollectRow did not walk
+// then sorts its own hits. The COO is therefore row-major with
+// every row strictly ascending — the order RowLanesToCSRInto needs to build
+// sorted CSR rows without a sort. This is the one conflict-test loop the
+// CPU builder executes.
 func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratch, coo *graph.COO) int64 {
 	var calls int64
 	for i := lo; i < hi; i++ {
@@ -203,14 +212,27 @@ func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratc
 		if len(cand) == 0 {
 			continue
 		}
-		hits := s.hitsFor(len(cand))
+		hits := s.hitsFor(len(cand))[:len(cand)]
 		o.HasRow(i, cand, hits)
 		calls += int64(len(cand))
+		start := len(coo.V)
+		v := slices.Grow(coo.V, len(cand))[:start+len(cand)]
+		n := start
 		for k, j := range cand {
+			v[n] = j
 			if hits[k] {
-				coo.Append(int32(i), j)
+				n++
 			}
 		}
+		coo.V = v[:n]
+		if !s.walked {
+			slices.Sort(coo.V[start:])
+		}
+		u := slices.Grow(coo.U, n-start)[:n]
+		for k := start; k < n; k++ {
+			u[k] = int32(i)
+		}
+		coo.U = u
 	}
 	return calls
 }
@@ -220,7 +242,9 @@ func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratc
 // per-pair sorted-list intersection. New never builds it — every
 // production builder uses the bucket kernel — but the package tests assert
 // edge-set equality against it and BenchmarkConflictBuild measures the gap.
-// Each call builds on a fresh arena.
+// It allocates fresh storage on every call and converts its edge list with
+// the sorting ToCSR, charging the tracker as the CPU builder does: the edge
+// list for the duration of the conversion, then the CSR.
 func ReferenceAllPairs(o EdgeOracle, lists Lists, tr *memtrack.Tracker) (*ConflictGraph, Stats, error) {
 	m := o.Len()
 	coo := &graph.COO{N: m}
@@ -234,7 +258,15 @@ func ReferenceAllPairs(o EdgeOracle, lists Lists, tr *memtrack.Tracker) (*Confli
 			}
 		}
 	}
-	return finishCOO(NewArena(), coo, tr, st)
+	release := tr.Scoped(coo.Bytes())
+	g, err := coo.ToCSR(coo.CountDegrees())
+	release()
+	if err != nil {
+		return nil, st, err
+	}
+	tr.Alloc(g.Bytes())
+	st.HostBytes = g.Bytes()
+	return &ConflictGraph{G: g, Edges: int64(coo.NumEdges())}, st, nil
 }
 
 // intersectSorted reports whether two ascending slices share an element.

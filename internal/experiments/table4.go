@@ -14,8 +14,9 @@ import (
 )
 
 // Table4Row holds peak memory in bytes per algorithm (paper Table IV, which
-// reports max resident set size in GB — here the byte-exact model of
-// package memtrack).
+// reports max resident set size in GB — here the model of package
+// memtrack, exact for what it charges; ARCHITECTURE.md lists what it does
+// not).
 type Table4Row struct {
 	Name    string
 	ColPack int64

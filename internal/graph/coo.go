@@ -4,13 +4,15 @@ import (
 	"fmt"
 
 	"picasso/internal/grow"
+	"picasso/internal/par"
 )
 
 // COO is an edge list, the intermediate the conflict-graph kernel emits
 // before CSR conversion (paper Algorithm 3: "we are left with an unordered
-// edge list"). No order is required. The CPU builder's COO is row-major,
-// with every row it walked ascending; the simulated device's COO is
-// unordered, because rows claim their slots through an atomic cursor.
+// edge list"). ToCSR requires no order. Each CPU build lane's COO is
+// row-major with every row strictly ascending, the order RowLanesToCSRInto
+// relies on; the simulated device's COO is unordered, because rows claim
+// their slots through an atomic cursor.
 type COO struct {
 	N int
 	U []int32
@@ -60,17 +62,13 @@ func (c *COO) ToCSR(degrees []int64) (*CSR, error) {
 }
 
 // ToCSRInto is ToCSR writing into g, reusing g's Offsets/Adj backing arrays
-// when they are large enough (pass nil to allocate a fresh CSR). This is the
-// zero-allocation steady-state path: an iteration loop or a service worker
-// converts every conflict COO into the same pooled CSR storage. As with
-// ToCSR, degrees is consumed as cursor scratch.
-//
-// From a row-major COO whose edges run from the row's vertex to a higher
-// one, CSR row u receives its lower neighbours in row order and then its
-// upper neighbours in the order row u listed them. So every row whose own
-// edges are ascending fills already sorted, and the per-row sort confirms it
-// in one linear pass: that is every row the CPU builder walked. Its other
-// rows, and the device builder's unordered COO, are sorted for real.
+// when they are large enough (pass nil to allocate a fresh CSR): the
+// zero-allocation steady-state path for the device builder, which converts
+// every conflict COO into the same pooled CSR storage. As with ToCSR,
+// degrees is consumed as cursor scratch. The edges may come in any order
+// and orientation, because every row is sorted after the fill: that is the
+// device builder's COO, whose rows claim slots through an atomic cursor,
+// and the all-pairs reference's.
 func (c *COO) ToCSRInto(degrees []int64, g *CSR) (*CSR, error) {
 	if len(degrees) != c.N {
 		return nil, fmt.Errorf("graph: %d degrees for %d vertices", len(degrees), c.N)
@@ -86,29 +84,122 @@ func (c *COO) ToCSRInto(degrees []int64, g *CSR) (*CSR, error) {
 	g.Adj = grow.Slice(g.Adj, int(g.Offsets[c.N]))
 	cursor := degrees
 	copy(cursor, g.Offsets[:c.N])
-	for i := range c.U {
-		u, v := c.U[i], c.V[i]
-		g.Adj[cursor[u]] = v
-		cursor[u]++
-		g.Adj[cursor[v]] = u
-		cursor[v]++
-	}
+	c.place(g.Adj, cursor)
 	g.sortAdjacency()
 	return g, nil
 }
 
-// CountDegrees recomputes per-vertex degrees from the edge list.
-func (c *COO) CountDegrees() []int64 {
-	return c.CountDegreesInto(nil)
+// RowLanesToCSRInto converts an edge list held in lanes to CSR in g,
+// reusing g's backing arrays as ToCSRInto does, and sorts nothing. It is
+// generate_csr for the CPU builder's lanes: the lanes are cut into groups
+// contiguous runs, each group counts its lanes' per-vertex entries on its
+// own goroutine, one serial pass turns the counts into Offsets and
+// per-group cursors (Offsets[v] plus the entries of earlier groups), and
+// each group then places its lanes' edges, in lane order, on its own
+// goroutine again.
+//
+// The lanes must be row bands in order: every lane has N vertices, every
+// edge (u, v) has u < v, each lane lists its rows ascending and each row's
+// partners strictly ascending, and every row of a lane lies below every
+// row of the next. CSR row v then receives its lower neighbours from
+// earlier groups, then from earlier rows of its own group, then its own
+// row's partners; each run is ascending and lies above the one before, so
+// the row is sorted.
+//
+// cursors is scratch of at least groups·N entries, contents garbage; group
+// k's cursors live at [k·N, (k+1)·N). groups must lie in [1, len(lanes)].
+func RowLanesToCSRInto(lanes []COO, groups int, cursors []int64, g *CSR) (*CSR, error) {
+	if groups < 1 || groups > len(lanes) {
+		return nil, fmt.Errorf("graph: %d groups of %d lanes", groups, len(lanes))
+	}
+	n := lanes[0].N
+	for w := range lanes {
+		if lanes[w].N != n {
+			return nil, fmt.Errorf("graph: lane %d has %d vertices, lane 0 has %d", w, lanes[w].N, n)
+		}
+	}
+	if len(cursors) < groups*n {
+		return nil, fmt.Errorf("graph: %d cursors for %d groups of %d vertices", len(cursors), groups, n)
+	}
+	if g == nil {
+		g = &CSR{}
+	}
+	// One group runs inline: a build on one worker spawns nothing and
+	// allocates no closure.
+	if groups == 1 {
+		countLanes(lanes, cursors[:n])
+	} else {
+		par.ForN(groups, groups, func(k int) {
+			countLanes(laneGroup(lanes, cursors, groups, n, k))
+		})
+	}
+	g.N = n
+	g.Offsets = grow.Slice(g.Offsets, n+1)
+	var total int64
+	for v := 0; v < n; v++ {
+		g.Offsets[v] = total
+		for k := v; k < groups*n; k += n {
+			total, cursors[k] = total+cursors[k], total
+		}
+	}
+	g.Offsets[n] = total
+	g.Adj = grow.Slice(g.Adj, int(total))
+	if groups == 1 {
+		fillLanes(lanes, cursors[:n], g.Adj)
+	} else {
+		adj := g.Adj
+		par.ForN(groups, groups, func(k int) {
+			band, cur := laneGroup(lanes, cursors, groups, n, k)
+			fillLanes(band, cur, adj)
+		})
+	}
+	return g, nil
 }
 
-// CountDegreesInto recomputes per-vertex degrees into deg, reusing its
-// backing array when it is large enough (pass nil to allocate).
-func (c *COO) CountDegreesInto(deg []int64) []int64 {
-	deg = grow.Zeroed(deg, c.N)
+// laneGroup returns group k's lanes and cursors when lanes are cut into
+// groups contiguous runs over n vertices.
+func laneGroup(lanes []COO, cursors []int64, groups, n, k int) ([]COO, []int64) {
+	return lanes[k*len(lanes)/groups : (k+1)*len(lanes)/groups], cursors[k*n : (k+1)*n]
+}
+
+// countLanes zeroes cur and adds every lane's per-vertex entries to it.
+func countLanes(lanes []COO, cur []int64) {
+	clear(cur)
+	for w := range lanes {
+		lanes[w].addDegrees(cur)
+	}
+}
+
+// fillLanes places every lane's edges into adj at cur, in lane order.
+func fillLanes(lanes []COO, cur []int64, adj []int32) {
+	for w := range lanes {
+		lanes[w].place(adj, cur)
+	}
+}
+
+// place is the fill step of every COO→CSR conversion: it writes each edge
+// {u, v} to adj at both endpoints' cursors and advances them.
+func (c *COO) place(adj []int32, cursor []int64) {
+	for i := range c.U {
+		u, v := c.U[i], c.V[i]
+		adj[cursor[u]] = v
+		cursor[u]++
+		adj[cursor[v]] = u
+		cursor[v]++
+	}
+}
+
+// CountDegrees recomputes per-vertex degrees from the edge list.
+func (c *COO) CountDegrees() []int64 {
+	deg := make([]int64, c.N)
+	c.addDegrees(deg)
+	return deg
+}
+
+// addDegrees adds each edge's two endpoint entries to deg.
+func (c *COO) addDegrees(deg []int64) {
 	for i := range c.U {
 		deg[c.U[i]]++
 		deg[c.V[i]]++
 	}
-	return deg
 }

@@ -173,8 +173,8 @@ func FromEdges(n int, edges [][2]int32) (*CSR, error) {
 
 func (g *CSR) sortAdjacency() {
 	// slices.Sort, not sort.Slice: this runs once per vertex on every
-	// COO→CSR conversion and the interface-based sort allocates a closure
-	// and reflect header per call.
+	// sorting COO→CSR conversion and the interface-based sort allocates a
+	// closure and reflect header per call.
 	for u := 0; u < g.N; u++ {
 		slices.Sort(g.Neighbors(u))
 	}

@@ -1,10 +1,12 @@
-// Package memtrack is the byte-exact memory-accounting model behind the
-// paper's Table IV. Measuring max-RSS is meaningless across machines and Go
-// GC configurations, so the experiment harness instead registers every
-// long-lived data structure an algorithm holds (input graph, color lists,
+// Package memtrack is the memory-accounting model behind the paper's
+// Table IV. Measuring max-RSS is meaningless across machines and Go GC
+// configurations, so the experiment harness instead registers the
+// long-lived data structures an algorithm holds (input graph, color lists,
 // conflict COO/CSR, forbidden arrays, worklists) with a Tracker and reports
 // the peak of the running sum — the same quantity max-RSS approximates on
-// the paper's testbed.
+// the paper's testbed. The model is exact for what it charges; the
+// memtrack section of ARCHITECTURE.md lists what the engine does not
+// charge, so a tracked peak is a lower bound on what it holds.
 //
 // Beyond metering, a Tracker doubles as the engine's budget governor.
 // SetBudget arms a byte ceiling; every Alloc that pushes the running sum

@@ -42,7 +42,7 @@
 //	res, err := picasso.Run(ctx, o, opts) // err is OOM when the budget bursts
 //
 // Conflict-graph construction is pluggable: Options.Backend names one of the
-// registered backends (Backends lists them — sequential, parallel, gpu), all
+// built-in backends (Backends lists them — sequential, parallel, gpu), all
 // of which share the palette-bucket inverted-index kernel and produce
 // bit-identical colorings:
 //
@@ -100,10 +100,11 @@ type (
 	Molecule = chem.Molecule
 	// Device is a simulated memory-limited accelerator.
 	Device = gpusim.Device
-	// MemoryTracker is the byte-exact accounting model behind Table IV.
+	// MemoryTracker is the accounting model behind Table IV, exact for
+	// what it charges (ARCHITECTURE.md lists what it does not).
 	MemoryTracker = memtrack.Tracker
 	// ConflictBuilder is the pluggable conflict-construction backend:
-	// Options.Backend selects a registered one by name (see Backends), and
+	// Options.Backend selects a built-in one by name (see Backends), and
 	// Options.Builder injects a custom instance.
 	ConflictBuilder = backend.ConflictBuilder
 	// BuildStats reports how one conflict-graph construction went (device
