@@ -484,7 +484,7 @@ func BenchmarkStreamPipelined(b *testing.B) {
 
 // BenchmarkPortfolio races 1 vs 4 vs 8 entrants on the same instance under
 // one shared memory budget and reports the color count the race settles on
-// plus the wall time until the winning bound was published. The 1-entrant
+// plus the wall time until the winning coloring existed. The 1-entrant
 // row is the plain streamed run — the baseline every wider portfolio must
 // beat. Refinement is disabled so rows compare raw racing quality.
 func BenchmarkPortfolio(b *testing.B) {

@@ -280,17 +280,15 @@ func main() {
 	}
 
 	if race := res.Portfolio; race != nil {
-		fmt.Printf("portfolio: %d entrants, winner %d with %d colors (bound %d), %d cancelled early, %d candidate slots pruned, time-to-best %v\n",
-			len(race.Entrants), race.Winner, colors, race.Bound,
-			race.CancelledEntrants, race.BoundPrunes, race.TimeToBest.Round(time.Millisecond))
+		fmt.Printf("portfolio: %d entrants, winner %d with %d colors, %d cancelled early, time-to-best %v\n",
+			len(race.Entrants), race.Winner, colors, race.CancelledEntrants, race.TimeToBest.Round(time.Millisecond))
 		for _, e := range race.Entrants {
 			outcome := fmt.Sprintf("%d colors in %d shards", e.Colors, e.Shards)
 			if e.Cancelled {
 				outcome = fmt.Sprintf("cancelled at shard %d", e.CancelledAtShard)
 			}
-			fmt.Printf("  entrant %2d [%s]: %s (%v, peak %.2f MB, %d pruned)\n",
-				e.Index, e.Name, outcome, e.Wall.Round(time.Millisecond),
-				float64(e.PeakBytes)/1e6, e.BoundPrunes)
+			fmt.Printf("  entrant %2d [%s]: %s (%v, peak %.2f MB)\n",
+				e.Index, e.Name, outcome, e.Wall.Round(time.Millisecond), float64(e.PeakBytes)/1e6)
 		}
 	}
 

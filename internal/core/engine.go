@@ -203,16 +203,6 @@ func (e *engine) runUnit() error {
 			e.fallback()
 			break
 		}
-		if pb := e.pruneBound(); pb > 0 && e.base >= pb {
-			// The palette window has advanced past the portfolio bound: every
-			// further candidate would be pruned, so iterating more only burns
-			// conflict builds on vertices that can no longer color. Fall back
-			// now — the singletons land above the global ceiling, the entrant's
-			// prefix count blows past the bound, and the race cancels it at
-			// the next checkpoint instead of grinding the iteration budget.
-			e.fallback()
-			break
-		}
 		before := len(e.active)
 		if err := e.iterate(); err != nil {
 			e.tr.Free(e.activeBytes)
@@ -289,27 +279,12 @@ func (e *engine) iterate() error {
 		listRelease()
 		e.tr.Free(bst.HostBytes)
 	}
-	if e.streamed && (e.fixedEnd > 0 || e.pruneBound() > 0) {
+	if e.streamed && e.fixedEnd > 0 {
 		forbidden = e.ar.forbidBuf(m * L)
 		maskRelease = e.tr.Scoped(int64(m * L))
 		if err := e.fixedPass(cl, forbidden, &st); err != nil {
 			release()
 			return err
-		}
-		// Portfolio bound: forbid every slot whose global color would land at
-		// or above the best coloring already found — a candidate up there can
-		// only grow the entrant's count past a bound it must beat. The bound
-		// is frozen per entrant, so the marks (and the RNG draws they steer)
-		// are deterministic; marks accumulate exactly like fixed-pass marks.
-		if pb := e.pruneBound(); pb > 0 {
-			for i := 0; i < m; i++ {
-				for k, c := range cl.list(i) {
-					if e.base+c >= pb && !forbidden[i*L+k] {
-						forbidden[i*L+k] = true
-						st.BoundPrunes++
-					}
-				}
-			}
 		}
 	}
 	st.BuildTime = time.Since(t1)
@@ -423,7 +398,6 @@ func (e *engine) iterate() error {
 	e.res.TotalConflictEdges += st.ConflictEdges
 	e.res.TotalPairsTested += st.PairsTested
 	e.res.FixedPairsTested += st.FixedPairsTested
-	e.res.BoundPrunes += st.BoundPrunes
 	if st.ConflictEdges > e.res.MaxConflictEdges {
 		e.res.MaxConflictEdges = st.ConflictEdges
 	}
@@ -540,16 +514,6 @@ func (e *engine) fallback() {
 	// shard is a legitimately continuable boundary like any other.
 	e.active = e.active[:0]
 	e.res.Fallback = true
-}
-
-// pruneBound returns the portfolio race's shared color bound for this unit,
-// or 0 when no bound applies: refinement units already recolor into a pinned
-// palette strictly below any bound, so the bound never constrains them.
-func (e *engine) pruneBound() int32 {
-	if e.refineCeil > 0 {
-		return 0
-	}
-	return e.opts.pruneBound
 }
 
 // setColor assigns and keeps the global color ceiling current.

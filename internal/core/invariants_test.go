@@ -195,9 +195,8 @@ type invDigest struct {
 	SpeculativeConflicts, RepairRecolors       int
 	TotalPairsTested, FixedPairsTested         int64
 	TotalConflictEdges, MaxConflictEdges       int64
-	BoundPrunes                                int64
 	Fallback                                   bool
-	Winner, Bound                              int
+	Winner                                     int
 	RefineColors, RefineRounds, RefineIters    int
 	RefinePairsTested, RefineFixedPairsTested  int64
 	RefineMoved, RefineStuck, RefineEliminated int
@@ -209,10 +208,10 @@ func digest(res *Result) invDigest {
 		SpeculativeConflicts: res.SpeculativeConflicts, RepairRecolors: res.RepairRecolors,
 		TotalPairsTested: res.TotalPairsTested, FixedPairsTested: res.FixedPairsTested,
 		TotalConflictEdges: res.TotalConflictEdges, MaxConflictEdges: res.MaxConflictEdges,
-		BoundPrunes: res.BoundPrunes, Fallback: res.Fallback,
+		Fallback: res.Fallback,
 	}
 	if p := res.Portfolio; p != nil {
-		d.Winner, d.Bound = p.Winner, p.Bound
+		d.Winner = p.Winner
 	}
 	if r := res.Refine; r != nil {
 		d.RefineColors, d.RefineRounds, d.RefineIters = r.ColorsAfter, r.Rounds, r.Iterations
@@ -236,9 +235,9 @@ func sameColoring(got, want graph.Coloring) error {
 	return nil
 }
 
-// sameEntrants compares two races entrant by entrant. Which losers the
-// shared bound cancels depends on timing, but every entrant that completed
-// in both is a pure function of its Options.
+// sameEntrants compares two races entrant by entrant. Which losers the race
+// cancels depends on timing, but every entrant that completed in both is a
+// pure function of its Options.
 func sameEntrants(got, want *Result) error {
 	if got.Portfolio == nil || want.Portfolio == nil {
 		return nil
@@ -407,14 +406,13 @@ func (h *invHarness) check(t *testing.T, c invCase, sched invSchedule) {
 		sum.FixedPairsTested += it.FixedPairsTested
 		sum.TotalConflictEdges += it.ConflictEdges
 		sum.MaxConflictEdges = max(sum.MaxConflictEdges, it.ConflictEdges)
-		sum.BoundPrunes += it.BoundPrunes
 		onDevice = onDevice || it.DevicePeakBytes > 0
 	}
 	if sum.TotalPairsTested != res.TotalPairsTested || sum.TotalConflictEdges != res.TotalConflictEdges ||
-		sum.MaxConflictEdges != res.MaxConflictEdges || sum.BoundPrunes != res.BoundPrunes {
-		t.Errorf("Σ IterStats pairs %d, edges %d, max %d, prunes %d; Result says %d, %d, %d, %d",
-			sum.TotalPairsTested, sum.TotalConflictEdges, sum.MaxConflictEdges, sum.BoundPrunes,
-			res.TotalPairsTested, res.TotalConflictEdges, res.MaxConflictEdges, res.BoundPrunes)
+		sum.MaxConflictEdges != res.MaxConflictEdges {
+		t.Errorf("Σ IterStats pairs %d, edges %d, max %d; Result says %d, %d, %d",
+			sum.TotalPairsTested, sum.TotalConflictEdges, sum.MaxConflictEdges,
+			res.TotalPairsTested, res.TotalConflictEdges, res.MaxConflictEdges)
 	}
 	speculative := strings.HasPrefix(c.schedule, "speculate")
 	if sum.FixedPairsTested != res.FixedPairsTested && !(speculative && sum.FixedPairsTested < res.FixedPairsTested) {
@@ -608,9 +606,21 @@ func (h *invHarness) checkSchedule(t *testing.T, c invCase, r *invRun) {
 			t.Error("frozen-frontier pass never ran")
 		}
 	case "portfolio":
+		// A cancelled entrant stopped early and reports no colors; every
+		// entrant that finished loses to the winner's (colors, index), and
+		// the winner is no worse than the phase-A baseline.
 		p := res.Portfolio
-		if p.Bound == 0 || res.NumColors > p.Bound {
-			t.Errorf("winner %d colors against the phase-A bound %d", res.NumColors, p.Bound)
+		w := p.Entrants[p.Winner]
+		for i, e := range p.Entrants {
+			if e.Cancelled != (e.Colors == 0) || e.Cancelled && e.CancelledAtShard < 1 {
+				t.Errorf("entrant %d: cancelled %v at shard %d with %d colors", i, e.Cancelled, e.CancelledAtShard, e.Colors)
+			}
+			if !e.Cancelled && (e.Colors < w.Colors || e.Colors == w.Colors && i < p.Winner) {
+				t.Errorf("entrant %d (%d colors) beats winner %d (%d colors)", i, e.Colors, p.Winner, w.Colors)
+			}
+		}
+		if res.NumColors > p.Entrants[0].Colors {
+			t.Errorf("winner %d colors against the phase-A baseline's %d", res.NumColors, p.Entrants[0].Colors)
 		}
 	}
 }

@@ -244,15 +244,6 @@ type Options struct {
 	// safe for concurrent readers (every built-in oracle is).
 	Speculate int
 
-	// pruneBound, when > 0, is the portfolio race's shared color bound: a
-	// streamed run forbids every candidate slot whose global color (palette
-	// base + candidate) is at or above it, concentrating the search below the
-	// best coloring already found (portfolio.go). Set only by the race — the
-	// bound is frozen per entrant at launch, so each entrant's coloring stays
-	// a pure function of its own Options and the winner selection stays
-	// deterministic. Refinement units ignore it (their palette is already
-	// pinned below a stricter ceiling).
-	pruneBound int32
 	// builderInjected remembers that the caller supplied Builder explicitly
 	// (set by validate): a single injected instance is bound to one arena,
 	// so concurrent stream lanes cannot be derived from it and speculation
@@ -352,8 +343,6 @@ func (o *Options) checkSchedule(n int) error {
 		return &ScheduleError{"Portfolio with Frozen"}
 	case o.Portfolio != nil && o.Resume != nil:
 		return &ScheduleError{"Portfolio with Resume"}
-	case o.Portfolio != nil && !o.Stream && !o.Portfolio.DisableBound:
-		return &ScheduleError{"one-shot Portfolio entrants need DisableBound (one-shot runs have no checkpoints to cancel at)"}
 	}
 	if o.Resume != nil {
 		return o.Resume.validate(n)

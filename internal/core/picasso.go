@@ -18,7 +18,6 @@ type IterStats struct {
 	ConflictEdges    int64         // |Ec|
 	PairsTested      int64         // candidate pairs the build examined (vs m(m−1)/2 all-pairs)
 	FixedPairsTested int64         // cross-frontier adjacency tests of the streaming fixed-color pass
-	BoundPrunes      int64         // candidate slots forbidden by the portfolio's shared color bound
 	Unconflicted     int           // vertices colored directly (line 8)
 	Colored          int           // total vertices colored this iteration
 	Failed           int           // |Vu| carried to the next iteration (unit-local)
@@ -51,10 +50,6 @@ type Result struct {
 	// belong to no iteration, so there Σ IterStats.FixedPairsTested falls
 	// short of this total.
 	FixedPairsTested int64
-	// BoundPrunes counts the candidate slots a portfolio entrant's shared
-	// best-so-far color bound forbade (0 outside portfolio races): the work
-	// the bound redirected toward colorings that can still win.
-	BoundPrunes int64
 	// Shards counts the completed stream units (0 for one-shot runs).
 	Shards int
 	// ResumedShards counts the stream units restored from a RunState
@@ -107,8 +102,8 @@ type Result struct {
 //   - Frozen: only the vertices past the frozen prefix (the append);
 //   - Resume: the rest of a checkpointed streamed run;
 //   - Portfolio: a race of entrant configurations (portfolio.go), streamed
-//     when Stream is set and one-shot otherwise — the measurement mode,
-//     which needs DisableBound;
+//     when Stream is set and one-shot otherwise (every one-shot entrant runs
+//     to completion);
 //   - Refine: then a refinement pass over the coloring — or over Frozen
 //     alone when it covers all n vertices (refine.go).
 //

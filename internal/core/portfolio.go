@@ -6,29 +6,25 @@
 // coloring wins.
 //
 // The race runs in two phases. Phase A runs entrant 0 — always the caller's
-// base configuration — alone, and publishes its color count as the initial
-// shared bound. Phase B races the remaining entrants concurrently, each on
-// its own lane (private arena + builder + memtrack.Child of the portfolio
-// root, the same per-lane pattern speculative streams use), with the
-// phase-A bound frozen into each entrant as a prune ceiling: candidate slots
-// at or above it are forbidden in the fixed-color mask path, concentrating
-// every racer on colorings that can still win. Freezing the prune bound per
-// entrant is what keeps each entrant deterministic — a live bound would make
-// the RNG stream depend on when other entrants finish.
+// base configuration — alone and records its result as the first winner.
+// Phase B races the remaining entrants concurrently, each on its own lane
+// (private arena + builder + memtrack.Child of the portfolio root, the same
+// per-lane pattern speculative streams use).
 //
-// The live bound — the lexicographically least (colors, entrant index) of
-// the entrants completed so far — is used only for cancellation: each
-// racer's shard-boundary checkpoint computes the distinct colors of its
-// frozen prefix (a true lower bound on its final count — frozen colors never
-// change) and cancels the entrant's context once even that lower bound
-// cannot beat the published best. Cancellation timing is scheduling-
-// dependent, but it is winner-invariant: the eventual winner W satisfies
-// (prefix_W, idx_W) ≤ (final_W, idx_W) < every other completed entrant's
-// (final, idx), so no published bound can ever cancel W — only provable
+// The winner record — the lexicographically least (colors, entrant index) of
+// the entrants completed so far, kept under one mutex — also retires
+// provable losers: each racer's shard-boundary checkpoint computes the
+// distinct colors of its frozen prefix (a true lower bound on its final
+// count — frozen colors never change) and cancels the entrant's context once
+// even that lower bound cannot beat the record. Cancellation timing is
+// scheduling-dependent, but it is winner-invariant: the eventual winner W
+// satisfies (prefix_W, idx_W) ≤ (final_W, idx_W) < every other completed
+// entrant's (final, idx), so no record can ever cancel W — only provable
 // losers are cancelled, whenever they are. Selection is therefore
 // deterministic for a fixed spec: the winner is the lexicographic minimum of
 // (final colors, entrant index) over the entrants' deterministic would-be
-// results, tie-broken by index, never by wall-clock.
+// results, tie-broken by index, never by wall-clock. One-shot entrants never
+// checkpoint, so a one-shot race runs every entrant to completion.
 //
 // When Options.Refine is set, the winning coloring is finally fed through
 // the refinement pass (refine.go) under the portfolio root tracker, so a
@@ -40,68 +36,15 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"picasso/internal/graph"
 	"picasso/internal/memtrack"
 )
 
-// MaxPortfolioEntrants caps a portfolio race. The cap bounds the packed
-// entrant index of the shared bound and keeps an adversarial spec from
-// turning one job into an unbounded goroutine fan-out.
+// MaxPortfolioEntrants caps a portfolio race, so an adversarial spec cannot
+// turn one job into an unbounded goroutine fan-out.
 const MaxPortfolioEntrants = 64
-
-// entrantIndexBits is the low-bit width of the packed (colors, index) bound:
-// index occupies the low bits so an int64 comparison is the lexicographic
-// order. 16 bits comfortably hold MaxPortfolioEntrants.
-const entrantIndexBits = 16
-
-// packBound packs (colors, entrant index) so that smaller packed values are
-// lexicographically better colorings. colors is offset by one so a published
-// zero-color bound (an empty graph) is distinguishable from "nothing
-// published yet" (0).
-func packBound(colors, idx int) int64 {
-	return int64(colors+1)<<entrantIndexBits | int64(idx)
-}
-
-// raceBound is the shared best-so-far (colors, entrant index) bound,
-// published lock-free. Offers only ever lower it (CAS min), so concurrent
-// publishes from any interleaving converge on the exact lexicographic
-// minimum of everything offered.
-type raceBound struct{ v atomic.Int64 }
-
-// offer publishes a completed entrant's (colors, index), keeping the bound
-// at the lexicographic minimum seen so far.
-func (b *raceBound) offer(colors, idx int) {
-	p := packBound(colors, idx)
-	for {
-		cur := b.v.Load()
-		if cur != 0 && cur <= p {
-			return
-		}
-		if b.v.CompareAndSwap(cur, p) {
-			return
-		}
-	}
-}
-
-// best returns the published bound; ok is false while nothing has completed.
-func (b *raceBound) best() (colors, idx int, ok bool) {
-	cur := b.v.Load()
-	if cur == 0 {
-		return 0, 0, false
-	}
-	return int(cur>>entrantIndexBits) - 1, int(cur & (1<<entrantIndexBits - 1)), true
-}
-
-// beaten reports whether an entrant whose final result provably cannot be
-// lexicographically below (colors, idx) has already lost to the published
-// bound — the cancellation test.
-func (b *raceBound) beaten(colors, idx int) bool {
-	cur := b.v.Load()
-	return cur != 0 && packBound(colors, idx) >= cur
-}
 
 // distinctPrefix counts the distinct colors of a snapshot's frozen frontier
 // [0, NextStart): a lower bound on the run's final color count, since frozen
@@ -134,9 +77,9 @@ func entrantBudget(total int64, racers int) int64 {
 
 // PortfolioOptions shapes a portfolio race on top of a base Options
 // (Options.Portfolio). Entrants stream when the base sets Stream and run
-// one-shot otherwise — the measurement mode, which has no checkpoints to
-// cancel at and so needs DisableBound. The winner is refined when the base
-// sets Refine.
+// one-shot otherwise; one-shot entrants have no checkpoints to cancel at, so
+// every one of them runs to completion and is measured. The winner is
+// refined when the base sets Refine.
 type PortfolioOptions struct {
 	// Entrants is the total number of entrants including the base
 	// configuration (entrant 0); 2..MaxPortfolioEntrants. Ignored when
@@ -150,15 +93,14 @@ type PortfolioOptions struct {
 	// MaxConcurrent caps how many phase-B racers run at once (0 = all).
 	// The per-racer memory-budget share divides by the realized concurrency.
 	MaxConcurrent int
-	// DisableBound turns off pruning and cancellation: every entrant runs to
-	// completion and is measured — the mode for sweeps whose objective is not
-	// the color count alone (Tune's β-weighted colors + conflict work).
-	DisableBound bool
 }
 
 // EntrantStats describes one entrant's outcome: its distinguishing knobs and
-// what its run did. A cancelled entrant reports zero Colors — it never
-// finished — plus the shard count at which the shared bound retired it.
+// what its run did. A cancelled entrant is one the race stopped before its
+// last shard, because even its frozen prefix could no longer beat the
+// winner record: it reports zero Colors and Shards, plus the completed
+// shard count at which it was retired. An entrant that finished is never
+// cancelled.
 type EntrantStats struct {
 	Index     int
 	Name      string
@@ -168,10 +110,9 @@ type EntrantStats struct {
 	Speculate int
 
 	Colors           int   // final color count (0 when cancelled)
-	Shards           int   // completed stream units
+	Shards           int   // completed stream units (0 when cancelled)
 	MaxConflictEdges int64 // per-iteration conflict-edge maximum
-	BoundPrunes      int64 // candidate slots the shared bound forbade
-	Cancelled        bool  // retired by the shared bound
+	Cancelled        bool  // stopped early as a provable loser
 	CancelledAtShard int   // completed shards when cancelled
 	Wall             time.Duration
 	PeakBytes        int64 // the entrant lane's own peak (child tracker)
@@ -188,13 +129,8 @@ type PortfolioStats struct {
 	// fixed spec.
 	Winner   int
 	Entrants []EntrantStats
-	// Bound is the phase-A color count the racers pruned against (0 when the
-	// bound was disabled).
-	Bound int
-	// CancelledEntrants and BoundPrunes aggregate the race: entrants retired
-	// by the shared bound, and candidate slots it forbade across all lanes.
+	// CancelledEntrants counts the entrants the race stopped early.
 	CancelledEntrants int
-	BoundPrunes       int64
 	// TimeToBest is the wall-clock from race start until the winning
 	// coloring existed (before refinement) — the portfolio's quality-latency
 	// metric.
@@ -308,47 +244,44 @@ func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, erro
 	}
 
 	t0 := time.Now()
-	var bound raceBound
-	var winMu sync.Mutex
-	winKey := int64(0) // 0 = none yet (same sentinel as raceBound)
-	var winRes *Result
-	winner := 0
-	var timeToBest time.Duration
-	record := func(idx int, res *Result) {
-		key := packBound(res.NumColors, idx)
-		winMu.Lock()
-		if winKey == 0 || key < winKey {
-			winKey, winRes, winner = key, res, idx
-			timeToBest = time.Since(t0)
-		}
-		winMu.Unlock()
+	// The winner record: the lexicographic minimum of (colors, entrant
+	// index) over the entrants completed so far. winMu guards it for both
+	// the completions and the racers' checkpoint hooks.
+	var (
+		winMu      sync.Mutex
+		winRes     *Result // nil until an entrant completes
+		winner     int
+		timeToBest time.Duration
+	)
+	// beats reports whether (colors, idx) is lexicographically below the
+	// record; the caller holds winMu.
+	beats := func(colors, idx int) bool {
+		return winRes == nil || colors < winRes.NumColors || colors == winRes.NumColors && idx < winner
 	}
 
-	// runEntrant executes entrant i with its lane resources and the race
-	// hooks armed; pruneTo > 0 freezes that prune ceiling into the run.
-	runEntrant := func(ectx context.Context, cancel context.CancelFunc, i int, budget int64, pruneTo int) (*Result, error) {
+	// runEntrant executes entrant i on its lane resources and records its
+	// result; a racer's checkpoint hook retires it once its frozen prefix
+	// alone cannot beat the record.
+	runEntrant := func(i int, budget int64) error {
+		ectx, cancel := context.WithCancel(ctx)
+		defer cancel()
 		eopts := variants[i]
 		eopts.Tracker = root.Child()
 		eopts.MemoryBudgetBytes = budget
 		eopts.Progress = serialProgress
 		eopts.Checkpoint = nil
+		st := &stats[i]
 		if i > 0 {
 			// Racers run concurrently: a lane cannot share the base arena or
 			// an injected builder instance, so each derives private ones.
 			eopts.Arena = nil
 			eopts.Builder = nil
-		}
-		if pruneTo > 0 {
-			eopts.pruneBound = int32(pruneTo)
-		}
-		st := &stats[i]
-		if !popts.DisableBound && i > 0 {
 			eopts.Checkpoint = func(snap RunState) {
-				if st.Cancelled {
-					return
-				}
-				if lower := distinctPrefix(&snap); bound.beaten(lower, i) {
-					st.Cancelled = true
+				lower := distinctPrefix(&snap)
+				winMu.Lock()
+				lost := !beats(lower, i)
+				winMu.Unlock()
+				if lost {
 					st.CancelledAtShard = snap.Shards
 					cancel()
 				}
@@ -359,32 +292,31 @@ func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, erro
 		st.Wall = time.Since(start)
 		st.PeakBytes = eopts.Tracker.Peak()
 		if err != nil {
-			if st.Cancelled && ectx.Err() != nil && ctx.Err() == nil {
-				// Our own bound cancelled it: a retired loser, not a failure.
-				return nil, nil
+			if ectx.Err() != nil && ctx.Err() == nil {
+				// The race's own cancellation stopped it: a retired loser,
+				// not a failure.
+				st.Cancelled = true
+				return nil
 			}
-			return nil, err
+			return err
 		}
+		// A hook that fired at the final checkpoint stopped nothing: the
+		// entrant finished, so it reports its run and is not cancelled.
+		st.CancelledAtShard = 0
 		st.Colors = res.NumColors
 		st.Shards = res.Shards
 		st.MaxConflictEdges = res.MaxConflictEdges
-		st.BoundPrunes = res.BoundPrunes
-		bound.offer(res.NumColors, i)
-		record(i, res)
-		return res, nil
+		winMu.Lock()
+		if beats(res.NumColors, i) {
+			winRes, winner, timeToBest = res, i, time.Since(t0)
+		}
+		winMu.Unlock()
+		return nil
 	}
 
-	// Phase A: the baseline entrant alone, under the full budget — its count
-	// is the bound every racer prunes against.
-	ctx0, cancel0 := context.WithCancel(ctx)
-	res0, err := runEntrant(ctx0, cancel0, 0, opts.MemoryBudgetBytes, 0)
-	cancel0()
-	if err != nil {
+	// Phase A: the baseline entrant alone, under the full budget.
+	if err := runEntrant(0, opts.MemoryBudgetBytes); err != nil {
 		return nil, err
-	}
-	pruneTo := 0
-	if !popts.DisableBound {
-		pruneTo = res0.NumColors
 	}
 
 	// Phase B: race the rest, splitting the budget by realized concurrency.
@@ -403,9 +335,7 @@ func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, erro
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ectx, cancel := context.WithCancel(ctx)
-			defer cancel()
-			_, errs[i] = runEntrant(ectx, cancel, i, share, pruneTo)
+			errs[i] = runEntrant(i, share)
 		}(i)
 	}
 	wg.Wait()
@@ -415,14 +345,11 @@ func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, erro
 		}
 	}
 
-	race := &PortfolioStats{
-		Winner: winner, Entrants: stats, Bound: pruneTo, TimeToBest: timeToBest,
-	}
+	race := &PortfolioStats{Winner: winner, Entrants: stats, TimeToBest: timeToBest}
 	for i := range stats {
 		if stats[i].Cancelled {
 			race.CancelledEntrants++
 		}
-		race.BoundPrunes += stats[i].BoundPrunes
 	}
 	// The run-level accounting of the returned Result describes the whole
 	// portfolio, not the winning lane (see PortfolioStats).

@@ -2,67 +2,15 @@ package core
 
 import (
 	"context"
-	"sync"
+	"slices"
 	"testing"
 
 	"picasso/internal/graph"
 	"picasso/internal/memtrack"
 )
 
-func TestRaceBoundConcurrentExactness(t *testing.T) {
-	// The shared bound under concurrent publishes (run with -race): whatever
-	// the interleaving, the final bound is the exact lexicographic minimum of
-	// everything offered, and beaten() is consistent with it.
-	var b raceBound
-	const workers = 16
-	offers := make([][2]int, 0, workers*8)
-	for w := 0; w < workers; w++ {
-		for k := 0; k < 8; k++ {
-			offers = append(offers, [2]int{50 + (w*7+k*13)%40, w})
-		}
-	}
-	wantC, wantI := offers[0][0], offers[0][1]
-	for _, o := range offers[1:] {
-		if o[0] < wantC || (o[0] == wantC && o[1] < wantI) {
-			wantC, wantI = o[0], o[1]
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < 8; k++ {
-				o := offers[w*8+k]
-				b.offer(o[0], o[1])
-				// Observe mid-race: the bound only ever improves, so anything
-				// already published must beat (or equal) what we offered.
-				if c, i, ok := b.best(); !ok || packBound(c, i) > packBound(o[0], o[1]) {
-					t.Errorf("bound (%d,%d) worse than published offer (%d,%d)", c, i, o[0], o[1])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	c, i, ok := b.best()
-	if !ok || c != wantC || i != wantI {
-		t.Fatalf("final bound (%d,%d,%v), want (%d,%d)", c, i, ok, wantC, wantI)
-	}
-	if !b.beaten(wantC, wantI) {
-		t.Error("the published minimum must beat itself (>= is a loss)")
-	}
-	if b.beaten(wantC-1, workers) {
-		t.Error("a strictly better count reported beaten")
-	}
-	if !b.beaten(wantC, wantI+1) {
-		t.Error("an index tie-loss not reported beaten")
-	}
-}
-
 func TestPortfolioCancellationDrainsLanes(t *testing.T) {
-	// A hopeless entrant is retired by the shared bound, and however the
+	// A hopeless entrant is retired by the winner record, and however the
 	// cancellation lands, every lane's tracker charges drain back to zero —
 	// the balanced-attribution guarantee of the lane pattern.
 	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 9}
@@ -107,7 +55,7 @@ func TestPortfolioCancellationDrainsLanes(t *testing.T) {
 		t.Fatalf("final coloring not proper: %v", err)
 	}
 
-	// Determinism of the guaranteed part: the phase-A bound is published
+	// Determinism of the guaranteed part: entrant 0's result is recorded
 	// before any racer starts, so the hopeless entrant's cancellation — and
 	// the winner — reproduce exactly.
 	root.Reset()
@@ -213,22 +161,19 @@ func TestPortfolioAutoRefinesWinner(t *testing.T) {
 }
 
 func TestPortfolioMeasurementModeMatchesOneShot(t *testing.T) {
-	// Tune's mode: DisableBound with one-shot entrants races explicit variants without
-	// pruning or cancellation, and every entrant's measurement is exactly
-	// what a lone one-shot run of that configuration would have produced.
+	// Tune's race: one-shot entrants have no checkpoints, so no entrant is
+	// cancelled, and every entrant's measurement is exactly what a lone
+	// one-shot run of that configuration would have produced.
 	o := graph.RandomOracle{N: 900, P: 0.5, Seed: 31}
 	mk := func(pf, a float64) Options {
 		return Options{PaletteFrac: pf, Alpha: a, Seed: 5, Strategy: DynamicBuckets}
 	}
 	variants := []Options{mk(0.125, 2), mk(0.03, 4.5), mk(0.2, 1)}
 	base := variants[0]
-	base.Portfolio = &PortfolioOptions{Variants: variants, DisableBound: true, MaxConcurrent: 2}
+	base.Portfolio = &PortfolioOptions{Variants: variants, MaxConcurrent: 2}
 	pres, err := Run(context.Background(), o, base)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pres.Portfolio.Bound != 0 {
-		t.Errorf("measurement mode published a bound of %d", pres.Portfolio.Bound)
 	}
 	for i, v := range variants {
 		solo, err := Run(context.Background(), o, v)
@@ -237,22 +182,20 @@ func TestPortfolioMeasurementModeMatchesOneShot(t *testing.T) {
 		}
 		e := pres.Portfolio.Entrants[i]
 		if e.Cancelled {
-			t.Fatalf("entrant %d cancelled in measurement mode", i)
+			t.Fatalf("one-shot entrant %d cancelled", i)
 		}
 		if e.Colors != solo.NumColors || e.MaxConflictEdges != solo.MaxConflictEdges {
 			t.Errorf("entrant %d measured (%d colors, %d edges), solo run (%d, %d)",
 				i, e.Colors, e.MaxConflictEdges, solo.NumColors, solo.MaxConflictEdges)
 		}
-		if e.BoundPrunes != 0 {
-			t.Errorf("entrant %d pruned %d slots with the bound disabled", i, e.BoundPrunes)
-		}
 	}
 }
 
-func TestPortfolioBoundPrunesObserved(t *testing.T) {
-	// Racers run under the frozen phase-A ceiling: at least one surviving
-	// racer must actually record pruned candidate slots, and the aggregate
-	// must tie out.
+func TestPortfolioCancelledMeansStopped(t *testing.T) {
+	// An entrant counts as cancelled only when the race stopped it before
+	// its last shard, and then it reports no run. An entrant whose hook
+	// fired at its final checkpoint had already finished: it reports its
+	// colors and shards and is not counted.
 	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 47}
 	opts := Normal(3)
 	opts.ShardSize = 400
@@ -262,18 +205,95 @@ func TestPortfolioBoundPrunesObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, e := range pres.Portfolio.Entrants {
-		total += e.BoundPrunes
+	variants := DefaultVariants(opts, 4)
+	cancelled := 0
+	for i, e := range pres.Portfolio.Entrants {
+		shards := (o.N + variants[i].ShardSize - 1) / variants[i].ShardSize
+		if !e.Cancelled {
+			if e.Colors == 0 || e.Shards != shards || e.CancelledAtShard != 0 {
+				t.Errorf("finished entrant %d: %d colors in %d of %d shards, cancelled at shard %d",
+					i, e.Colors, e.Shards, shards, e.CancelledAtShard)
+			}
+			continue
+		}
+		cancelled++
+		if e.Colors != 0 || e.Shards != 0 || e.CancelledAtShard < 1 || e.CancelledAtShard >= shards {
+			t.Errorf("entrant %d counted cancelled at shard %d of %d with %d colors",
+				i, e.CancelledAtShard, shards, e.Colors)
+		}
 	}
-	if total != pres.Portfolio.BoundPrunes {
-		t.Errorf("aggregate BoundPrunes %d, entrant sum %d", pres.Portfolio.BoundPrunes, total)
+	if cancelled != pres.Portfolio.CancelledEntrants {
+		t.Errorf("CancelledEntrants %d, %d cancelled rows", pres.Portfolio.CancelledEntrants, cancelled)
 	}
-	if pres.Portfolio.Entrants[0].BoundPrunes != 0 {
-		t.Error("the phase-A baseline pruned against its own bound")
+}
+
+func TestPortfolioWinnerConcurrentExactness(t *testing.T) {
+	// The winner record under concurrent completions and checkpoint
+	// cancellations (run with -race): whatever the interleaving, the winner
+	// is the lexicographic minimum of (colors, index) over what every entrant
+	// would have produced alone, cancelled entrants included, and its
+	// coloring is that lone run's bit for bit. Entrant 1 falls back at once,
+	// so entrant 0's recorded count retires it; every other racer's
+	// configuration races twice, so the index tie-break decides between two
+	// equal counts.
+	o := graph.RandomOracle{N: 2000, P: 0.5, Seed: 13}
+	base := Normal(3)
+	base.ShardSize = 256
+	base.Stream = true
+	field := DefaultVariants(base, 4)
+	hopeless := field[0]
+	hopeless.Seed = 4
+	hopeless.MaxIterations = 1
+	variants := []Options{field[0], hopeless, field[1], field[2], field[3], field[3], field[2], field[1]}
+
+	solo := make([]*Result, len(variants))
+	for i, v := range variants {
+		if i > 4 {
+			solo[i] = solo[9-i]
+			continue
+		}
+		res, err := Run(context.Background(), o, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = res
 	}
-	if pres.Portfolio.BoundPrunes == 0 {
-		t.Error("no racer ever pruned against the shared bound")
+	want := 0
+	for i, r := range solo {
+		if r.NumColors < solo[want].NumColors {
+			want = i
+		}
+	}
+	if want == 0 {
+		t.Fatalf("entrant 0's %d colors beat every racer: no tie-break left to check", solo[0].NumColors)
+	}
+
+	for round := 0; round < 3; round++ {
+		opts := base
+		opts.Portfolio = &PortfolioOptions{Variants: variants}
+		pres, err := Run(context.Background(), o, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pres.Portfolio
+		if p.Winner != want || pres.NumColors != solo[want].NumColors {
+			t.Fatalf("round %d: winner %d with %d colors, want entrant %d with %d",
+				round, p.Winner, pres.NumColors, want, solo[want].NumColors)
+		}
+		if !slices.Equal(pres.Colors, solo[want].Colors) {
+			t.Fatalf("round %d: the winning coloring differs from entrant %d's lone run", round, want)
+		}
+		if !p.Entrants[1].Cancelled {
+			t.Errorf("round %d: the fallback racer finished with %d colors", round, p.Entrants[1].Colors)
+		}
+		for i, e := range p.Entrants {
+			if !e.Cancelled && e.Colors != solo[i].NumColors {
+				t.Errorf("round %d: entrant %d finished with %d colors, alone %d",
+					round, i, e.Colors, solo[i].NumColors)
+			}
+		}
+		t.Logf("round %d: entrant %d won with %d colors, %d cancelled",
+			round, p.Winner, pres.NumColors, p.CancelledEntrants)
 	}
 }
 

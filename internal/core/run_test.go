@@ -68,7 +68,6 @@ func TestRunScheduleContract(t *testing.T) {
 		{"Frozen with Resume", o, resumed(frozen(opts, prefix), ckpt), true},
 		{"Portfolio with Frozen", o, Options{Stream: true, Portfolio: race, Frozen: prefix}, true},
 		{"Portfolio with Resume", o, Options{Stream: true, Portfolio: race, Resume: ckpt}, true},
-		{"one-shot Portfolio with the bound", o, Options{Portfolio: race}, true},
 		{"Frozen longer than n", o, frozen(opts, append(full.Colors, 0)), false},
 		{"Frozen with an uncolored vertex", o, frozen(opts, holed), false},
 		{"refine input short of n", o, refining(opts, prefix, RefineOptions{}), false},
@@ -85,12 +84,12 @@ func TestRunScheduleContract(t *testing.T) {
 	}
 
 	accepted := map[string]Options{
-		"Stream then Refine":         func() Options { o := opts; o.Refine = &RefineOptions{Rounds: 2}; return o }(),
-		"Resume then Refine":         func() Options { o := resumed(opts, ckpt); o.Refine = &RefineOptions{Rounds: 2}; return o }(),
-		"Frozen prefix":              frozen(opts, prefix),
-		"Frozen full then Refine":    refining(opts, full.Colors, RefineOptions{Rounds: 2}),
-		"one-shot Portfolio unbound": {PaletteFrac: 0.125, Alpha: 2, Portfolio: &PortfolioOptions{Entrants: 2, DisableBound: true}},
-		"streamed Portfolio":         {PaletteFrac: 0.125, Alpha: 2, Stream: true, ShardSize: 100, Portfolio: race},
+		"Stream then Refine":      func() Options { o := opts; o.Refine = &RefineOptions{Rounds: 2}; return o }(),
+		"Resume then Refine":      func() Options { o := resumed(opts, ckpt); o.Refine = &RefineOptions{Rounds: 2}; return o }(),
+		"Frozen prefix":           frozen(opts, prefix),
+		"Frozen full then Refine": refining(opts, full.Colors, RefineOptions{Rounds: 2}),
+		"one-shot Portfolio":      {PaletteFrac: 0.125, Alpha: 2, Portfolio: race},
+		"streamed Portfolio":      {PaletteFrac: 0.125, Alpha: 2, Stream: true, ShardSize: 100, Portfolio: race},
 	}
 	for name, ao := range accepted {
 		res, err := Run(ctx, o, ao)

@@ -224,7 +224,6 @@ func (e *engine) streamSpeculative(baseline int64, S int) (*Result, error) {
 				e.res.TotalConflictEdges += r.TotalConflictEdges
 				e.res.TotalPairsTested += r.TotalPairsTested
 				e.res.FixedPairsTested += r.FixedPairsTested
-				e.res.BoundPrunes += r.BoundPrunes
 				if r.MaxConflictEdges > e.res.MaxConflictEdges {
 					e.res.MaxConflictEdges = r.MaxConflictEdges
 				}

@@ -113,10 +113,11 @@ type Spec struct {
 	// below 2 mean off. Implies Stream.
 	Speculate int `json:"speculate,omitempty"`
 	// Portfolio, when non-nil, races entrant configurations of the job —
-	// varying seed, strategy, shard size, and speculative schedule —
-	// against a shared best-so-far color bound and keeps the deterministic
-	// winner (see picasso.PortfolioOptions). Implies Stream. A single-entrant block
-	// is the plain run and is canonicalized away.
+	// varying seed, strategy, shard size, and speculative schedule — stops
+	// entrants that provably cannot beat the best finished one, and keeps
+	// the deterministic winner (see picasso.PortfolioOptions). Implies
+	// Stream. A single-entrant block is the plain run and is canonicalized
+	// away.
 	Portfolio *PortfolioSpec `json:"portfolio,omitempty"`
 	// Refine, when non-nil, runs the palette-refinement pass after the
 	// coloring: rounds of dissolving the smallest color classes and

@@ -68,9 +68,9 @@ type ResultSummary struct {
 	ResumedShards      int     `json:"resumed_shards,omitempty"`
 	ElapsedMS          float64 `json:"elapsed_ms"`
 	// Portfolio digests a portfolio race (spec portfolio block, or the
-	// server's default entrants): winner identity, the shared bound, and one
-	// row per entrant. The summary's top-level fields describe the winning
-	// run (with peak_bytes covering all lanes combined).
+	// server's default entrants): winner identity, the entrants stopped
+	// early, and one row per entrant. The summary's top-level fields
+	// describe the winning run (with peak_bytes covering all lanes combined).
 	Portfolio *PortfolioSummary `json:"portfolio,omitempty"`
 }
 
@@ -78,16 +78,14 @@ type ResultSummary struct {
 type PortfolioSummary struct {
 	Entrants     int              `json:"entrants"`
 	Winner       int              `json:"winner"`
-	Bound        int              `json:"bound"`        // phase-A color count the racers pruned against
-	Cancelled    int              `json:"cancelled"`    // entrants retired early by the shared bound
-	BoundPrunes  int64            `json:"bound_prunes"` // candidate slots the bound forbade, all lanes
+	Cancelled    int              `json:"cancelled"` // entrants stopped before their last shard as provable losers
 	TimeToBestMS float64          `json:"time_to_best_ms"`
 	EntrantStats []EntrantSummary `json:"entrant_stats"`
 }
 
 // EntrantSummary is one portfolio entrant's digest: its distinguishing
 // configuration and what its run did. Cancelled entrants report no colors —
-// they never finished — plus the shard count at which the bound retired them.
+// they never finished — plus the shard count at which the race stopped them.
 type EntrantSummary struct {
 	Index            int     `json:"index"`
 	Name             string  `json:"name"`
@@ -95,7 +93,6 @@ type EntrantSummary struct {
 	Shards           int     `json:"shards,omitempty"`
 	WallMS           float64 `json:"wall_ms"`
 	PeakBytes        int64   `json:"peak_bytes,omitempty"`
-	BoundPrunes      int64   `json:"bound_prunes,omitempty"`
 	Cancelled        bool    `json:"cancelled,omitempty"`
 	CancelledAtShard int     `json:"cancelled_at_shard,omitempty"`
 }
@@ -165,16 +162,15 @@ type StatsResponse struct {
 	Retried        int64 `json:"retried"`
 	Interrupted    int64 `json:"interrupted"`
 	// The portfolio counters aggregate the racing subsystem: entrants ever
-	// raced, entrants the shared bound cancelled early, and candidate color
-	// slots it pruned across all lanes.
-	PortfolioEntrants    int64 `json:"portfolio_entrants"`
-	PortfolioCancelled   int64 `json:"portfolio_cancelled"`
-	PortfolioBoundPrunes int64 `json:"portfolio_bound_prunes"`
-	Queued               int   `json:"queued"`
-	Running              int   `json:"running"`
-	Retained             int   `json:"retained"`
-	CacheBytes           int64 `json:"cache_bytes"`
-	Workers              int   `json:"workers"`
+	// raced, and entrants stopped before their last shard as provable
+	// losers.
+	PortfolioEntrants  int64 `json:"portfolio_entrants"`
+	PortfolioCancelled int64 `json:"portfolio_cancelled"`
+	Queued             int   `json:"queued"`
+	Running            int   `json:"running"`
+	Retained           int   `json:"retained"`
+	CacheBytes         int64 `json:"cache_bytes"`
+	Workers            int   `json:"workers"`
 }
 
 // ErrorResponse is the uniform error body. Code, when present, is a stable

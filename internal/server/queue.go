@@ -226,7 +226,6 @@ func (s *Server) color(job *Job, arena *picasso.Arena) (*ResultSummary, [][]int,
 		s.mu.Lock()
 		s.stats.portfolioEntrants += int64(len(race.Entrants))
 		s.stats.portfolioCancelled += int64(race.CancelledEntrants)
-		s.stats.portfolioBoundPrunes += race.BoundPrunes
 		s.mu.Unlock()
 	}
 	groups := picasso.ColorGroups(res.Colors)
@@ -428,9 +427,7 @@ func summarize(res *picasso.Result, groups [][]int) *ResultSummary {
 		ps := &PortfolioSummary{
 			Entrants:     len(race.Entrants),
 			Winner:       race.Winner,
-			Bound:        race.Bound,
 			Cancelled:    race.CancelledEntrants,
-			BoundPrunes:  race.BoundPrunes,
 			TimeToBestMS: float64(race.TimeToBest) / float64(time.Millisecond),
 		}
 		for _, e := range race.Entrants {
@@ -441,7 +438,6 @@ func summarize(res *picasso.Result, groups [][]int) *ResultSummary {
 				Shards:           e.Shards,
 				WallMS:           float64(e.Wall) / float64(time.Millisecond),
 				PeakBytes:        e.PeakBytes,
-				BoundPrunes:      e.BoundPrunes,
 				Cancelled:        e.Cancelled,
 				CancelledAtShard: e.CancelledAtShard,
 			})

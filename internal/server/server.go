@@ -181,7 +181,7 @@ type Server struct {
 		submitted, cacheHits, completed, failed, cancelled, rejected, evicted int64
 		diskHits, artifactLoads, artifactWrites                               int64
 		resumed, restarted, retried, interrupted                              int64
-		portfolioEntrants, portfolioCancelled, portfolioBoundPrunes           int64
+		portfolioEntrants, portfolioCancelled                                 int64
 	}
 }
 
@@ -507,9 +507,8 @@ func (s *Server) Stats() StatsResponse {
 		Retried:        s.stats.retried,
 		Interrupted:    s.stats.interrupted,
 
-		PortfolioEntrants:    s.stats.portfolioEntrants,
-		PortfolioCancelled:   s.stats.portfolioCancelled,
-		PortfolioBoundPrunes: s.stats.portfolioBoundPrunes,
+		PortfolioEntrants:  s.stats.portfolioEntrants,
+		PortfolioCancelled: s.stats.portfolioCancelled,
 
 		Queued:     queued,
 		Running:    s.running,

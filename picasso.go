@@ -135,10 +135,10 @@ type (
 	// RefineRound records one refinement round.
 	RefineRound = core.RefineRound
 	// PortfolioOptions shapes a portfolio race (entrant count or explicit
-	// variant list, concurrency cap, bound switch).
+	// variant list, concurrency cap).
 	PortfolioOptions = core.PortfolioOptions
 	// PortfolioStats records a race (Result.Portfolio): the winner,
-	// per-entrant stats and the shared bound.
+	// per-entrant stats and the count of entrants stopped early.
 	PortfolioStats = core.PortfolioStats
 	// ScheduleError reports Options schedule fields that no single run can
 	// honor together (e.g. Frozen with Resume).
@@ -402,13 +402,12 @@ func Verify(o Oracle, c Coloring) error { return graph.VerifyOracle(o, c) }
 // α ∈ {0.5, 1, 2, 4.5} — spanning the same (memory-lean … quality-lean)
 // range as mlpredict.DefaultPFracs/DefaultAlphas' full 9×9 grid at a
 // twentieth of the cost; cmd/trainpredictor is the entry point for full-grid
-// sweeps. The grid points run as a measurement-mode portfolio race (one-shot
-// entrants, bounding and cancellation off — every cell must complete, since
-// the objective mixes color count with conflict work) with up to GOMAXPROCS
-// cells in flight, so
-// a multi-core tune finishes in roughly the wall-clock of its slowest cell;
-// each cell's measurement is identical to the lone one-shot run the
-// historical sequential sweep made.
+// sweeps. The grid points run as a portfolio race of one-shot entrants, which
+// never checkpoint and so are never cancelled — every cell completes, as the
+// objective mixing color count with conflict work needs — with up to
+// GOMAXPROCS cells in flight, so a multi-core tune finishes in roughly the
+// wall-clock of its slowest cell; each cell's measurement is identical to
+// the lone one-shot run the historical sequential sweep made.
 //
 // An optional backend name (see Backends) runs the sweep — and stamps the
 // returned Options — with that conflict-construction backend, so tuning
@@ -434,11 +433,7 @@ func Tune(o Oracle, beta float64, seed int64, backendName ...string) (Options, e
 		}
 	}
 	base := variants[0]
-	base.Portfolio = &PortfolioOptions{
-		Variants:      variants,
-		MaxConcurrent: runtime.GOMAXPROCS(0),
-		DisableBound:  true,
-	}
+	base.Portfolio = &PortfolioOptions{Variants: variants, MaxConcurrent: runtime.GOMAXPROCS(0)}
 	res, err := core.Run(context.Background(), o, base)
 	if err != nil {
 		return Options{}, fmt.Errorf("picasso: tune sweep: %w", err)
