@@ -236,32 +236,6 @@ func BenchmarkAblationIterative(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAtomics contrasts the two parallel conflict-graph
-// construction strategies: per-worker buffers (CPU path) vs a shared
-// atomic-cursor edge list (GPU path) — the paper's §V note on why
-// warp-level reduction did not pay off.
-func BenchmarkAblationAtomics(b *testing.B) {
-	o := picasso.RandomGraph(3000, 0.5, 17)
-	b.Run("worker-buffers", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := picasso.Normal(1)
-			opts.Workers = 0
-			if _, err := picasso.Run(context.Background(), o, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("atomic-cursor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := picasso.Normal(1)
-			opts.Device = picasso.NewDevice("bench", 1<<32, 0)
-			if _, err := picasso.Run(context.Background(), o, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkConflictBuildBackends drives the three conflict-construction
 // backends through the public API on a dense n=10k oracle, reporting the
 // build-phase time and the kernel's oracle-call savings. The kernel-level

@@ -6,13 +6,11 @@ import (
 )
 
 // Arena pools the working storage of conflict-graph construction — the
-// bucket index, per-worker kernel scratch and edge buffers, the CSR
-// conversion's cursors, the device edge-list mirrors, and the conflict CSR
-// backing — so a steady-state caller (the iteration loop, a service worker
-// recoloring job after job) reuses one set of allocations instead of
-// re-making them every build. Buffers grow to the largest build seen and are
-// retained, except the device's worst-case edge mirrors, whose retention is
-// bounded (see maxRetainedDeviceEdges).
+// bucket index, per-worker kernel scratch and edge lanes, the CSR
+// conversion's cursors, and the conflict CSR backing — so a steady-state
+// caller (the iteration loop, a service worker recoloring job after job)
+// reuses one set of allocations instead of re-making them every build.
+// Buffers grow to the largest build seen and are retained.
 //
 // An Arena is NOT safe for concurrent use: hold one per goroutine (the
 // coloring service keeps one per pool worker). Builds running on one arena
@@ -22,20 +20,17 @@ type Arena struct {
 	bk  Buckets
 	fb  FixedBuckets // streaming fixed-color index (fixed.go)
 	cnt []int64      // bucket counting/cursor scratch (palette-sized)
-	// Worker lane w owns scratches[w] and laneCOO[w]. A CPU lane's edge
-	// buffer holds its row band's edges and is one input of the
-	// lane-parallel CSR conversion; a device "SM" uses only the scratch.
+	// Worker lane w owns scratches[w] and laneCOO[w]. A lane's edge buffer
+	// holds its row band's edges and is one input of the lane-parallel CSR
+	// conversion; the fixed-color pass uses only the scratch.
 	scratches []*Scratch
 	laneCOO   []graph.COO
 	calls     []int64
-	// deg holds the CPU conversion's group cursors, or the device kernel's
-	// degree counters.
-	deg []int64
+	// cursors holds the CSR conversion's group cursors (lanesToCSR).
+	cursors []int64
 	// csr backs the conflict CSR a build hands back, valid until the next
 	// build on the arena — the iteration-at-a-time lifetime core gives it.
 	csr graph.CSR
-	// devU, devV mirror the device's unordered edge list (deviceScan).
-	devU, devV []int32
 }
 
 // NewArena returns an empty arena; storage grows on first use.
@@ -78,28 +73,15 @@ func (a *Arena) callsBuf(n int) []int64 {
 	return a.calls
 }
 
-// maxRetainedDeviceEdges bounds the device edge-mirror capacity an arena
-// keeps between builds (entries per half; 8M ≈ 64 MB across both halves).
-// deviceScan sizes these buffers at the worst-case all-pairs bound clamped
-// by device memory — far above the edges actually produced — so retaining
-// them unconditionally would pin that worst case in every long-lived
-// worker. Larger requests are served fresh and left to the collector.
-const maxRetainedDeviceEdges = 8 << 20
-
-// edgeBufs returns the host mirrors of the device's unordered edge list,
-// grown to capEdges.
-func (a *Arena) edgeBufs(capEdges int64) ([]int32, []int32) {
-	if capEdges > maxRetainedDeviceEdges {
-		return make([]int32, capEdges), make([]int32, capEdges)
-	}
-	a.devU = grow.Slice(a.devU, int(capEdges))
-	a.devV = grow.Slice(a.devV, int(capEdges))
-	return a.devU, a.devV
-}
-
-// degCounters returns zeroed per-vertex degree counters for the device
-// kernel (which builds its CSR from them instead of recounting the COO).
-func (a *Arena) degCounters(n int) []int64 {
-	a.deg = grow.Zeroed(a.deg, n)
-	return a.deg
+// lanesToCSR converts a build's lanes, which hold |Ec| = edges edges in
+// all, into the arena's CSR with graph.RowLanesToCSRInto; the CSR is lent
+// to the caller until the arena's next build. It uses one group per |Ec|/m
+// edges, at most one per lane: the groups' cursors (8m bytes each) then
+// never exceed the edge list they convert (8|Ec| bytes), and a build with
+// fewer edges than vertices uses one group.
+func (a *Arena) lanesToCSR(lanes []graph.COO, edges int64) (*graph.CSR, error) {
+	m := lanes[0].N
+	groups := int(min(max(edges/int64(max(m, 1)), 1), int64(len(lanes))))
+	a.cursors = grow.Slice(a.cursors, groups*m)
+	return graph.RowLanesToCSRInto(lanes, groups, a.cursors, &a.csr)
 }

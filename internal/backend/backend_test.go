@@ -180,6 +180,31 @@ func checkBuildersMatchReference(t *testing.T, label string, n, P, L int, densit
 	}
 }
 
+func TestBuildersAcceptEmptyInput(t *testing.T) {
+	// Zero vertices: every builder still converts one empty lane, so the
+	// build returns an empty valid CSR instead of indexing a lane that was
+	// never reserved, and tracks nothing beyond that CSR.
+	o := testOracle{graph.RandomOracle{N: 0, P: 0.5, Seed: 1}}
+	lists := newTestLists(0, 1, 1, 1)
+	for name, b := range testBuilders(t) {
+		var tr memtrack.Tracker
+		cg, st, err := b.Build(context.Background(), o, lists, &tr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := cg.G.Validate(); err != nil {
+			t.Fatalf("%s: conflict CSR: %v", name, err)
+		}
+		if cg.G.N != 0 || cg.Edges != 0 || st.PairsTested != 0 {
+			t.Fatalf("%s: N=%d, %d edges, %d pairs tested; want all 0", name, cg.G.N, cg.Edges, st.PairsTested)
+		}
+		tr.Free(st.HostBytes)
+		if tr.Current() != 0 {
+			t.Errorf("%s: leaked %d tracked bytes", name, tr.Current())
+		}
+	}
+}
+
 func TestOracleCallCountMatchesSharingPairs(t *testing.T) {
 	// The kernel's promise: exactly one oracle call per pair with
 	// intersecting lists, none for the rest.
@@ -298,19 +323,44 @@ func TestNamesContainsBuiltins(t *testing.T) {
 }
 
 func TestDeviceOOMPropagates(t *testing.T) {
-	o := testOracle{graph.RandomOracle{N: 400, P: 0.9, Seed: 3}}
-	lists := newTestLists(400, 4, 4, 9) // full palette: every pair conflicts
-	b, err := New("gpu", Config{Device: gpusim.NewDevice("tiny", 2048, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = b.Build(context.Background(), o, lists, nil)
-	if err == nil {
-		t.Fatal("tiny budget accepted")
-	}
-	var oom *gpusim.ErrOutOfMemory
-	if !errors.As(err, &oom) {
-		t.Fatalf("error is %T: %v", err, err)
+	// A device runs out in one of two places: the 2 KiB one cannot hold the
+	// input (lists, bucket index), and the 64 KiB one holds the input and
+	// the offset counters but its edge list overflows mid-kernel, Algorithm
+	// 3's OOM. One worker makes the overflow point, and so the message,
+	// deterministic. The failed build leaves its lanes aborted mid-scan: a
+	// roomy build of the same shape on the same arena must still match a
+	// fresh arena's.
+	for _, tc := range []struct {
+		n, P, L  int
+		density  float64
+		capacity int64
+		workers  int
+		want     string
+	}{
+		// Full palette: every pair conflicts.
+		{400, 4, 4, 0.9, 2048, 2, "device input allocation: gpusim: tiny out of memory: requested 16040 bytes, 2048 free"},
+		{300, 40, 6, 0.5, 64 << 10, 1, "gpusim: tiny out of memory: requested 46024 bytes, 46008 free"},
+	} {
+		o := testOracle{graph.RandomOracle{N: tc.n, P: tc.density, Seed: 3}}
+		lists := newTestLists(tc.n, tc.P, tc.L, 9)
+		arena := NewArena()
+		b, err := New("gpu", Config{Device: gpusim.NewDevice("tiny", tc.capacity, tc.workers), Arena: arena})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = b.Build(context.Background(), o, lists, nil)
+		var oom *gpusim.ErrOutOfMemory
+		if !errors.As(err, &oom) || err.Error() != tc.want {
+			t.Fatalf("%d bytes: error %T %v, want %q", tc.capacity, err, err, tc.want)
+		}
+		roomy := func(a *Arena) ConflictBuilder {
+			b, err := New("gpu", Config{Device: gpusim.NewDevice("roomy", 1<<30, tc.workers), Arena: a})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		requireSameAsFresh(t, fmt.Sprintf("after the %d-byte OOM", tc.capacity), roomy(NewArena()), roomy(arena), o, lists)
 	}
 }
 

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -110,44 +111,49 @@ func TestArenaReuseKeepsEdgeSetsIdentical(t *testing.T) {
 				o := testOracle{graph.RandomOracle{N: sh.n, P: sh.density, Seed: uint64(sh.seed)}}
 				lists := newTestLists(sh.n, sh.P, sh.L, sh.seed)
 				cold := mk(backendName, fresh) // a fresh arena per build
-				var wantTr, gotTr memtrack.Tracker
-				wantCG, wantSt, err := cold.Build(context.Background(), o, lists, &wantTr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotCG, gotSt, err := warm.Build(context.Background(), o, lists, &gotTr)
-				if err != nil {
-					t.Fatalf("%s round %d shape %d: %v", backendName, round, si, err)
-				}
-				want, got := sortedEdges(t, wantCG), sortedEdges(t, gotCG)
-				if len(got) != len(want) {
-					t.Fatalf("%s round %d shape %d: %d edges, want %d",
-						backendName, round, si, len(got), len(want))
-				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("%s round %d shape %d: edge %d is %v, want %v",
-							backendName, round, si, k, got[k], want[k])
-					}
-				}
-				if gotSt.PairsTested != wantSt.PairsTested {
-					t.Errorf("%s round %d shape %d: %d pairs tested, want %d",
-						backendName, round, si, gotSt.PairsTested, wantSt.PairsTested)
-				}
-				// Device and host accounting must be history-independent: a
-				// warm arena's pooled capacities may exceed this build's
-				// needs, but every budget charge is length-based, so the
-				// Algorithm 3 decisions and both peaks match a fresh run
-				// exactly.
-				if gotSt.OnDevice != wantSt.OnDevice || gotSt.DevicePeakBytes != wantSt.DevicePeakBytes {
-					t.Errorf("%s round %d shape %d: device accounting (onDevice %v, peak %d) differs from fresh (%v, %d)",
-						backendName, round, si, gotSt.OnDevice, gotSt.DevicePeakBytes, wantSt.OnDevice, wantSt.DevicePeakBytes)
-				}
-				if gotTr.Peak() != wantTr.Peak() || gotSt.HostBytes != wantSt.HostBytes {
-					t.Errorf("%s round %d shape %d: host accounting (peak %d, CSR %d) differs from fresh (%d, %d)",
-						backendName, round, si, gotTr.Peak(), gotSt.HostBytes, wantTr.Peak(), wantSt.HostBytes)
-				}
+				requireSameAsFresh(t, fmt.Sprintf("%s round %d shape %d", backendName, round, si), cold, warm, o, lists)
 			}
 		}
+	}
+}
+
+// requireSameAsFresh builds one shape with cold (a builder on a fresh arena)
+// and then with warm (one whose arena earlier builds used), and fails unless
+// the two builds are indistinguishable: edges, pairs tested, and device and
+// host accounting.
+func requireSameAsFresh(t *testing.T, label string, cold, warm ConflictBuilder, o EdgeOracle, lists Lists) {
+	t.Helper()
+	var wantTr, gotTr memtrack.Tracker
+	wantCG, wantSt, err := cold.Build(context.Background(), o, lists, &wantTr)
+	if err != nil {
+		t.Fatalf("%s: fresh: %v", label, err)
+	}
+	gotCG, gotSt, err := warm.Build(context.Background(), o, lists, &gotTr)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want, got := sortedEdges(t, wantCG), sortedEdges(t, gotCG)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, want %d", label, len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("%s: edge %d is %v, want %v", label, k, got[k], want[k])
+		}
+	}
+	if gotSt.PairsTested != wantSt.PairsTested {
+		t.Errorf("%s: %d pairs tested, want %d", label, gotSt.PairsTested, wantSt.PairsTested)
+	}
+	// Device and host accounting must be history-independent: a warm
+	// arena's pooled capacities may exceed this build's needs, but every
+	// budget charge is length-based, so the Algorithm 3 decisions and both
+	// peaks match a fresh run exactly.
+	if gotSt.OnDevice != wantSt.OnDevice || gotSt.DevicePeakBytes != wantSt.DevicePeakBytes {
+		t.Errorf("%s: device accounting (onDevice %v, peak %d) differs from fresh (%v, %d)",
+			label, gotSt.OnDevice, gotSt.DevicePeakBytes, wantSt.OnDevice, wantSt.DevicePeakBytes)
+	}
+	if gotTr.Peak() != wantTr.Peak() || gotSt.HostBytes != wantSt.HostBytes {
+		t.Errorf("%s: host accounting (peak %d, CSR %d) differs from fresh (%d, %d)",
+			label, gotTr.Peak(), gotSt.HostBytes, wantTr.Peak(), wantSt.HostBytes)
 	}
 }

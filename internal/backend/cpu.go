@@ -3,8 +3,6 @@ package backend
 import (
 	"context"
 
-	"picasso/internal/graph"
-	"picasso/internal/grow"
 	"picasso/internal/memtrack"
 	"picasso/internal/par"
 )
@@ -69,16 +67,10 @@ func (b cpuBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 		edges += int64(lanes[w].NumEdges())
 		cooBytes += lanes[w].Bytes()
 	}
-	// One group per |Ec|/m edges, at most one per lane: the groups' cursors
-	// (8m bytes each) then never exceed the edge list they convert (8|Ec|
-	// bytes), and a build with fewer edges than vertices uses one group.
-	groups := int(min(max(edges/int64(max(m, 1)), 1), int64(workers)))
-	a.deg = grow.Slice(a.deg, groups*m)
 	// The lanes are charged for the duration of the conversion, then the
-	// CSR stays charged (Stats.HostBytes) for the caller to free. The CSR is
-	// lent to the returned ConflictGraph until the arena's next build.
+	// CSR stays charged (Stats.HostBytes) for the caller to free.
 	releaseCOO := tr.Scoped(cooBytes)
-	gc, err := graph.RowLanesToCSRInto(lanes, groups, a.deg, &a.csr)
+	gc, err := a.lanesToCSR(lanes, edges)
 	releaseCOO()
 	if err != nil {
 		return nil, st, err

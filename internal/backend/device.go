@@ -37,7 +37,7 @@ func (g gpuBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 		DevicePeakBytes: g.dev.Peak(),
 		PairsTested:     scan.calls,
 	}
-	gc, err := scan.coo.ToCSRInto(scan.deg, &a.csr)
+	gc, err := a.lanesToCSR(scan.lanes, scan.edges)
 	if err != nil {
 		return nil, st, err
 	}
@@ -46,15 +46,15 @@ func (g gpuBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 		tr.Alloc(gc.Bytes())
 		st.HostBytes = gc.Bytes()
 	}
-	return &ConflictGraph{G: gc, Edges: int64(scan.coo.NumEdges())}, st, nil
+	return &ConflictGraph{G: gc, Edges: scan.edges}, st, nil
 }
 
 // scanResult carries one device scan back to the gpu builder.
 type scanResult struct {
-	coo      *graph.COO
-	deg      []int64 // per-vertex degrees
-	calls    int64   // oracle consultations
-	onDevice bool    // CSR fit the spare budget
+	lanes    []graph.COO // the edge list, one row band per "SM"
+	edges    int64       // |Ec|
+	calls    int64       // oracle consultations
+	onDevice bool        // CSR fit the spare budget
 }
 
 // deviceScan runs the Algorithm 3 memory discipline and the bucket kernel
@@ -65,10 +65,9 @@ type scanResult struct {
 //	2: allocate input data (oracle slab + color lists + bucket index) +
 //	   2|V| offset counters (4- or 8-byte) + the edge list
 //	3: kernel collects each row's bucket-deduplicated candidates, tests the
-//	   whole row in one batched oracle call, and bulk-reserves the row's
-//	   hits in the unordered edge list through a single atomic cursor add
-//	4: per-vertex degrees accumulate for the exclusive_sum step
-//	5: if the CSR fits the spare budget it is generated "on device";
+//	   whole row in one batched oracle call, and reserves the row's hits in
+//	   the edge list through a single atomic cursor add
+//	4: if the CSR fits the spare budget it is generated "on device";
 //	   otherwise the caller falls back to the host CPU.
 //
 // A conflict-edge overflow of the allocated list is a device OOM — exactly
@@ -77,16 +76,16 @@ type scanResult struct {
 // bound), so edge-list sizing matches the dense-scan implementation; the
 // input allocation grows by the bucket index (≈ the color lists' own
 // footprint, O(n·L)), which shifts OOM crossovers by that small constant —
-// the honest price of shipping the index. Workers reach the cursor in no
-// fixed order, so the edge list stays unordered even where CollectRow
-// returns a row ascending, and the CSR conversion (COO.ToCSRInto) sorts
-// every row; the CPU builder's row-ordered lanes need no sort. Per-worker
-// scratch (a seen-bitset of m bits per "SM") is treated as kernel-local
-// shared memory outside the budget model, like the dense kernel's
-// registers were. The arena pools the host-side mirrors of the device
-// allocations across scans. Cancellation (ctx) is checked before the
-// kernel launch and between worker chunks: a cancelled scan returns
-// ctx.Err() with every device allocation released.
+// the honest price of shipping the index. The budget model is the device's;
+// the host arrays standing in for its edge list are the CPU builder's: each
+// "SM" scans its contiguous row band with scanRows, one row at a time, into
+// its own arena lane, and the builder converts the lanes with
+// RowLanesToCSRInto, so nothing is sorted. Per-worker scratch (a
+// seen-bitset of m bits per "SM") is treated as kernel-local shared memory
+// outside the budget model, like the dense kernel's registers were.
+// Cancellation (ctx) is checked before the kernel launch and between worker
+// chunks: a cancelled scan returns ctx.Err() with every device allocation
+// released.
 func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lists, bk *Buckets, a *Arena) (scanResult, error) {
 	m := o.Len()
 	dev.ResetPeak()
@@ -114,11 +113,22 @@ func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lis
 	}
 	defer counters.Free()
 
-	// Worst-case unordered edge list: m(m−1)/2 pairs × 8 bytes (two
-	// int32), clamped to the remaining budget.
+	// One lane per "SM", and at least one, so an empty scan still converts.
+	// Lanes are reserved and emptied serially here; LaunchChunked runs at
+	// most workers chunks, each touching only its own lane.
+	workers := dev.Workers
+	if workers <= 0 {
+		workers = par.DefaultWorkers()
+	}
+	workers = max(min(workers, m), 1)
+	a.reserveLanes(workers)
+	res := scanResult{lanes: a.emptyLanes(workers, m)}
+
+	// Worst-case edge list: m(m−1)/2 pairs × 8 bytes (two int32), clamped
+	// to the remaining budget.
 	worstPairs := int64(m) * int64(m-1) / 2
 	if worstPairs == 0 {
-		return scanResult{coo: &graph.COO{N: m}, deg: make([]int64, m)}, nil
+		return res, nil
 	}
 	edgeBytes := worstPairs * 8
 	if free := dev.Free(); edgeBytes > free {
@@ -135,71 +145,31 @@ func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lis
 	defer edgeBuf.Free()
 
 	// Kernel: contiguous row ranges per worker ("SM") with private scratch.
-	// Each row is one batched oracle call; its hits claim a contiguous run
-	// of the edge list via one atomic cursor add (row-at-a-time reservation
-	// instead of an atomic per edge), and per-vertex degrees accumulate for
-	// the CSR.
-	u32, v32 := a.edgeBufs(capEdges)
-	deg := a.degCounters(m)
-	workers := dev.Workers
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	if workers > m {
-		workers = m
-	}
-	// Lanes are reserved serially here; LaunchChunked runs at most workers
-	// chunks, each touching only its own lane.
-	a.reserveLanes(workers)
+	// Each row is one batched oracle call; its hits reserve a contiguous run
+	// of the edge list with one atomic cursor add (row-at-a-time reservation
+	// instead of an atomic per edge), and a reservation past the list's end
+	// stops every worker.
 	bo := AsBatch(o)
 	if err := Cancelled(ctx); err != nil {
 		return scanResult{}, err
 	}
-	var cursor, calls atomic.Int64
+	calls := a.callsBuf(workers)
+	var cursor atomic.Int64
 	var overflow atomic.Bool
 	dev.LaunchChunked(m, func(lo, hi, w int) {
 		if Cancelled(ctx) != nil {
 			return
 		}
-		s := a.scratch(w, m)
-		var localCalls int64
-		for i := lo; i < hi; i++ {
-			if overflow.Load() {
-				break
-			}
-			cand := bk.CollectRow(lists, i, s)
-			if len(cand) == 0 {
-				continue
-			}
-			hits := s.hitsFor(len(cand))
-			bo.HasRow(i, cand, hits)
-			localCalls += int64(len(cand))
-			nh := int64(0)
-			for _, h := range hits {
-				if h {
-					nh++
-				}
-			}
-			if nh == 0 {
-				continue
-			}
-			base := cursor.Add(nh) - nh
-			if base+nh > capEdges {
+		s, lane := a.scratch(w, m), &res.lanes[w]
+		var tested int64
+		for i := lo; i < hi && !overflow.Load(); i++ {
+			before := lane.NumEdges()
+			tested += bk.scanRows(bo, lists, i, i+1, s, lane)
+			if cursor.Add(int64(lane.NumEdges()-before)) > capEdges {
 				overflow.Store(true)
-				break
 			}
-			idx := base
-			for k, j := range cand {
-				if hits[k] {
-					u32[idx] = int32(i)
-					v32[idx] = j
-					idx++
-					atomic.AddInt64(&deg[j], 1)
-				}
-			}
-			atomic.AddInt64(&deg[i], nh)
 		}
-		calls.Add(localCalls)
+		calls[w] = tested
 	})
 	if err := Cancelled(ctx); err != nil {
 		return scanResult{}, err
@@ -211,17 +181,15 @@ func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lis
 			Free:      edgeBytes,
 		}
 	}
-	edges := cursor.Load()
-	res := scanResult{
-		coo:   &graph.COO{N: m, U: u32[:edges], V: v32[:edges]},
-		deg:   deg,
-		calls: calls.Load(),
+	res.edges = cursor.Load()
+	for _, c := range calls {
+		res.calls += c
 	}
 
 	// CSR generation: on device if 2·|Ec| adjacency entries plus offsets fit
 	// the spare budget (while the kernel buffers are still resident), else
 	// the caller builds it on the host.
-	csrBytes := 2*edges*4 + int64(m+1)*8
+	csrBytes := 2*res.edges*4 + int64(m+1)*8
 	if csrBytes <= dev.Free() {
 		if b, err := dev.Alloc(csrBytes); err == nil {
 			res.onDevice = true

@@ -203,8 +203,9 @@ func (b *Buckets) CollectRow(lists Lists, i int, s *Scratch) []int32 {
 // candidates are edges, mispredict nothing. A row CollectRow did not walk
 // then sorts its own hits. The COO is therefore row-major with
 // every row strictly ascending — the order RowLanesToCSRInto needs to build
-// sorted CSR rows without a sort. This is the one conflict-test loop the
-// CPU builder executes.
+// sorted CSR rows without a sort. This is the one conflict-test loop every
+// builder executes: a CPU worker scans its whole band in one call, a
+// simulated device "SM" one row at a time.
 func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratch, coo *graph.COO) int64 {
 	var calls int64
 	for i := lo; i < hi; i++ {
@@ -242,31 +243,33 @@ func (b *Buckets) scanRows(o BatchEdgeOracle, lists Lists, lo, hi int, s *Scratc
 // per-pair sorted-list intersection. New never builds it — every
 // production builder uses the bucket kernel — but the package tests assert
 // edge-set equality against it and BenchmarkConflictBuild measures the gap.
-// It allocates fresh storage on every call and converts its edge list with
-// the sorting ToCSR, charging the tracker as the CPU builder does: the edge
-// list for the duration of the conversion, then the CSR.
+// It allocates fresh storage on every call and builds its CSR with
+// graph.FromEdges, the parsers' sorting path, which shares no code with the
+// builders' lane conversion. It charges the tracker as the CPU builder
+// does: the edge list (8 bytes per edge) for the duration of the
+// conversion, then the CSR.
 func ReferenceAllPairs(o EdgeOracle, lists Lists, tr *memtrack.Tracker) (*ConflictGraph, Stats, error) {
 	m := o.Len()
-	coo := &graph.COO{N: m}
+	var edges [][2]int32
 	var st Stats
 	for i := 0; i < m; i++ {
 		li := lists.List(i)
 		for j := i + 1; j < m; j++ {
 			st.PairsTested++
 			if intersectSorted(li, lists.List(j)) && o.Has(i, j) {
-				coo.Append(int32(i), int32(j))
+				edges = append(edges, [2]int32{int32(i), int32(j)})
 			}
 		}
 	}
-	release := tr.Scoped(coo.Bytes())
-	g, err := coo.ToCSR(coo.CountDegrees())
+	release := tr.Scoped(int64(len(edges)) * 8)
+	g, err := graph.FromEdges(m, edges)
 	release()
 	if err != nil {
 		return nil, st, err
 	}
 	tr.Alloc(g.Bytes())
 	st.HostBytes = g.Bytes()
-	return &ConflictGraph{G: g, Edges: int64(coo.NumEdges())}, st, nil
+	return &ConflictGraph{G: g, Edges: int64(len(edges))}, st, nil
 }
 
 // intersectSorted reports whether two ascending slices share an element.

@@ -95,19 +95,16 @@ type PortfolioOptions struct {
 	MaxConcurrent int
 }
 
-// EntrantStats describes one entrant's outcome: its distinguishing knobs and
-// what its run did. A cancelled entrant is one the race stopped before its
-// last shard, because even its frozen prefix could no longer beat the
-// winner record: it reports zero Colors and Shards, plus the completed
-// shard count at which it was retired. An entrant that finished is never
-// cancelled.
+// EntrantStats describes one entrant's outcome: its index, a name that
+// spells out its distinguishing knobs (seed, strategy, shard size,
+// speculation), and what its run did. A cancelled entrant is one the race
+// stopped before its last shard, because even its frozen prefix could no
+// longer beat the winner record: it reports zero Colors and Shards, plus
+// the completed shard count at which it was retired. An entrant that
+// finished is never cancelled.
 type EntrantStats struct {
-	Index     int
-	Name      string
-	Seed      int64
-	Strategy  ListStrategy
-	ShardSize int // 0 = budget-derived
-	Speculate int
+	Index int
+	Name  string
 
 	Colors           int   // final color count (0 when cancelled)
 	Shards           int   // completed stream units (0 when cancelled)
@@ -236,11 +233,7 @@ func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, erro
 	n := len(variants)
 	stats := make([]EntrantStats, n)
 	for i := range stats {
-		v := &variants[i]
-		stats[i] = EntrantStats{
-			Index: i, Name: entrantName(v), Seed: v.Seed, Strategy: v.Strategy,
-			ShardSize: v.ShardSize, Speculate: v.Speculate,
-		}
+		stats[i] = EntrantStats{Index: i, Name: entrantName(&variants[i])}
 	}
 
 	t0 := time.Now()

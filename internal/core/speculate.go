@@ -300,7 +300,7 @@ func (e *engine) streamSpeculative(baseline int64, S int) (*Result, error) {
 					unitUsed = p
 				}
 			}
-			e.shard = nextShardConcurrent(e.shard, spans[0].end-spans[0].start, unitUsed,
+			e.shard = nextShard(e.shard, spans[0].end-spans[0].start, unitUsed,
 				e.opts.MemoryBudgetBytes, baseline, e.tr.Peak(), peakBefore, hadFrontier, S)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 
 	"picasso/internal/backend"
 	"picasso/internal/graph"
-	"picasso/internal/memtrack"
 )
 
 // minShard floors every derived shard size: below this the per-shard fixed
@@ -148,8 +147,13 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options) (*Result, err
 		// contract (equivalence tests, benchmarks sweep it), so a budget
 		// crossing is reported, not silently repaired.
 		if opts.ShardSize == 0 {
-			e.shard = nextShard(e.shard, end-start, e.tr,
-				opts.MemoryBudgetBytes, baseline, peakBefore, hadFrontier)
+			peak := e.tr.Peak()
+			var used int64
+			if peak > peakBefore {
+				used = max(peak-baseline, 1)
+			}
+			e.shard = nextShard(e.shard, end-start, used,
+				opts.MemoryBudgetBytes, baseline, peak, peakBefore, hadFrontier, 1)
 		}
 	}
 	return e.finish(), nil
@@ -213,61 +217,22 @@ func autoShard(opts *Options, o graph.Oracle, n, remaining int, baseline int64, 
 	return lo
 }
 
-// nextShard resizes an auto-derived shard after each completed unit: halve
-// after a budget crossing (graceful degradation); otherwise retarget from
-// the measured per-vertex cost — but only when the just-finished shard
-// actually set the tracker's peak (a shard that stayed below an older peak
-// yields no fresh per-vertex evidence, and scaling a stale peak by a newer
-// shard length systematically underestimates cost). The retarget keeps 30%
-// headroom, inflates first-shard measurements (no frontier pass ran yet) by
-// 25%, and is bounded to ×4 growth per step.
-func nextShard(cur, lastLen int, tr *memtrack.Tracker, budget, baseline, peakBefore int64, hadFrontier bool) int {
-	if budget <= 0 || lastLen <= 0 {
-		return cur
-	}
-	peak := tr.Peak()
-	if peak <= peakBefore {
-		return cur // no new evidence; the current size is proven safe
-	}
-	if peak > budget {
-		// This shard crossed the budget (the lifetime peak is monotone, so
-		// only a *new* peak above budget means this shard did it — an old
-		// crossing must not keep halving shards that behaved).
-		half := cur / 2
-		if half < minShard {
-			half = minShard
-		}
-		return half
-	}
-	used := peak - baseline
-	if used < 1 {
-		used = 1
-	}
-	perVertex := (used + int64(lastLen) - 1) / int64(lastLen)
-	if !hadFrontier {
-		perVertex = perVertex * 5 / 4
-	}
-	target := (budget - baseline) * 7 / 10 / perVertex
-	next := target
-	if grown := int64(cur) * 4; next > grown {
-		next = grown
-	}
-	if next < minShard {
-		next = minShard
-	}
-	return int(next)
-}
-
-// nextShardConcurrent is nextShard's counterpart for multi-lane execution.
-// The sequential retarget divides the run tracker's peak delta by the shard
-// length — but with lanes in flight that peak includes the neighbors'
-// units, so scaling it per vertex would overestimate cost and shrink shards
-// forever. Here unitUsed is the finished unit's *own* bytes (its lane child
-// tracker's peak: exact per-unit attribution, never inflated by a neighbor
-// in flight), while the halve-on-crossing test still reads the run
-// tracker's peak — the budget is a promise about the lanes combined. The
-// retarget then reserves headroom for lanes concurrent footprints.
-func nextShardConcurrent(cur, lastLen int, unitUsed, budget, baseline, peak, peakBefore int64, hadFrontier bool, lanes int) int {
+// nextShard resizes an auto-derived shard after each completed group of
+// lanes units (1 for the sequential loop): halve after a budget crossing
+// (graceful degradation), otherwise retarget from the measured per-vertex
+// cost. peak is the run tracker's peak and peakBefore its peak when the
+// group started: the budget is a promise about the lanes combined, and
+// only a *new* peak above it means this group crossed it (the lifetime
+// peak is monotone, so an old crossing must not keep halving shards that
+// behaved). used is the finished unit's own bytes — a lane child
+// tracker's peak, never inflated by a neighbor in flight, or for the
+// sequential loop the run's peak above baseline when the shard set a new
+// one. Zero means no fresh per-vertex evidence (the shard stayed below an
+// older peak, or there is no tracker), and the proven size stands. The
+// retarget keeps 30% headroom split across the lanes, inflates
+// first-shard measurements (no frontier pass ran yet) by 25%, and is
+// bounded to ×4 growth per step.
+func nextShard(cur, lastLen int, used, budget, baseline, peak, peakBefore int64, hadFrontier bool, lanes int) int {
 	if budget <= 0 || lastLen <= 0 {
 		return cur
 	}
@@ -275,19 +240,16 @@ func nextShardConcurrent(cur, lastLen int, unitUsed, budget, baseline, peak, pea
 		lanes = 1
 	}
 	if peak > budget && peak > peakBefore {
-		// The combined in-flight footprint crossed the budget on our watch:
-		// halve, exactly like the sequential governor (an old crossing must
-		// not keep halving shards that behaved).
 		half := cur / 2
 		if half < minShard {
 			half = minShard
 		}
 		return half
 	}
-	if unitUsed < 1 {
-		return cur // no per-unit evidence (nil tracker): keep the proven size
+	if used < 1 {
+		return cur
 	}
-	perVertex := (unitUsed + int64(lastLen) - 1) / int64(lastLen)
+	perVertex := (used + int64(lastLen) - 1) / int64(lastLen)
 	if !hadFrontier {
 		perVertex = perVertex * 5 / 4
 	}

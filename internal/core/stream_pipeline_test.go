@@ -135,8 +135,8 @@ func TestStreamPipelinedInjectedBuilderFallsBack(t *testing.T) {
 func TestNextShardConcurrentAttribution(t *testing.T) {
 	// With lanes in flight the run tracker's peak includes the neighbors'
 	// units, so sizing from it would systematically shrink shards.
-	// nextShardConcurrent takes the unit's own bytes (its lane child's
-	// peak) for the retarget and uses the combined root peak only for the
+	// nextShard takes the unit's own bytes (its lane child's peak) for the
+	// retarget and uses the combined root peak only for the
 	// halve-on-crossing verdict.
 	var root memtrack.Tracker
 	a, b := root.Child(), root.Child()
@@ -144,8 +144,8 @@ func TestNextShardConcurrentAttribution(t *testing.T) {
 	b.Alloc(2 << 20) // the neighbor still in flight
 	budget := int64(16 << 20)
 
-	got := nextShardConcurrent(1000, 1000, a.Peak(), budget, 0, root.Peak(), 0, true, 2)
-	naive := nextShardConcurrent(1000, 1000, root.Peak(), budget, 0, root.Peak(), 0, true, 2)
+	got := nextShard(1000, 1000, a.Peak(), budget, 0, root.Peak(), 0, true, 2)
+	naive := nextShard(1000, 1000, root.Peak(), budget, 0, root.Peak(), 0, true, 2)
 	if got <= naive {
 		t.Fatalf("child attribution target %d not above combined-peak target %d", got, naive)
 	}
@@ -158,23 +158,23 @@ func TestNextShardConcurrentAttribution(t *testing.T) {
 	}
 
 	// A fresh combined crossing halves regardless of the unit's own bytes.
-	if h := nextShardConcurrent(1000, 1000, a.Peak(), 3<<20, 0, 4<<20, 0, true, 2); h != 500 {
+	if h := nextShard(1000, 1000, a.Peak(), 3<<20, 0, 4<<20, 0, true, 2); h != 500 {
 		t.Fatalf("fresh crossing: shard %d, want 500", h)
 	}
 	// A stale crossing (root peak unchanged since before the unit) must
 	// not keep halving shards that behaved: the retarget path runs.
-	if nh := nextShardConcurrent(1000, 1000, 512<<10, 3<<20, 0, 4<<20, 4<<20, true, 2); nh <= 500 {
+	if nh := nextShard(1000, 1000, 512<<10, 3<<20, 0, 4<<20, 4<<20, true, 2); nh <= 500 {
 		t.Fatalf("stale crossing still halved: shard %d", nh)
 	}
 	// Halving floors at the minimum shard.
-	if f := nextShardConcurrent(300, 300, 10<<20, 1<<20, 0, 2<<20, 0, true, 2); f != minShard {
+	if f := nextShard(300, 300, 10<<20, 1<<20, 0, 2<<20, 0, true, 2); f != minShard {
 		t.Fatalf("halve floor = %d, want %d", f, minShard)
 	}
 	// No budget or no evidence: the proven size stands.
-	if k := nextShardConcurrent(1000, 1000, 0, budget, 0, 1<<20, 0, true, 2); k != 1000 {
+	if k := nextShard(1000, 1000, 0, budget, 0, 1<<20, 0, true, 2); k != 1000 {
 		t.Fatalf("no-evidence retarget moved the shard to %d", k)
 	}
-	if k := nextShardConcurrent(1000, 1000, 1<<20, 0, 0, 1<<20, 0, true, 2); k != 1000 {
+	if k := nextShard(1000, 1000, 1<<20, 0, 0, 1<<20, 0, true, 2); k != 1000 {
 		t.Fatalf("budget-free retarget moved the shard to %d", k)
 	}
 }

@@ -8,11 +8,9 @@ import (
 )
 
 // COO is an edge list, the intermediate the conflict-graph kernel emits
-// before CSR conversion (paper Algorithm 3: "we are left with an unordered
-// edge list"). ToCSR requires no order. Each CPU build lane's COO is
-// row-major with every row strictly ascending, the order RowLanesToCSRInto
-// relies on; the simulated device's COO is unordered, because rows claim
-// their slots through an atomic cursor.
+// before CSR conversion (paper Algorithm 3's edge list). Every conflict
+// builder fills one COO per worker lane, row-major with every row strictly
+// ascending, the order RowLanesToCSRInto relies on.
 type COO struct {
 	N int
 	U []int32
@@ -22,12 +20,6 @@ type COO struct {
 // NumEdges returns the number of stored edges.
 func (c *COO) NumEdges() int { return len(c.U) }
 
-// Append adds edge {u, v}.
-func (c *COO) Append(u, v int32) {
-	c.U = append(c.U, u)
-	c.V = append(c.V, v)
-}
-
 // Bytes returns the edge-list footprint: live entries, not capacity, so
 // the memory model reports the same figure whether the backing arrays are
 // fresh or recycled from a larger build (arena pooling).
@@ -35,15 +27,10 @@ func (c *COO) Bytes() int64 {
 	return int64(len(c.U))*4 + int64(len(c.V))*4
 }
 
-// ExclusiveSum scans counts into offsets: out[i] = Σ_{j<i} counts[j], with
-// out[len(counts)] = total. Mirrors the exclusive_sum step of Algorithm 3.
-func ExclusiveSum(counts []int64) []int64 {
-	return ExclusiveSumInto(counts, make([]int64, len(counts)+1))
-}
-
-// ExclusiveSumInto is ExclusiveSum writing into out, which must have
-// len(counts)+1 entries — the pooled-storage form shared by the CSR
-// conversion and the bucket-index build.
+// ExclusiveSumInto scans counts into out, which must have len(counts)+1
+// entries: out[i] = Σ_{j<i} counts[j], with out[len(counts)] = total. It
+// mirrors the exclusive_sum step of Algorithm 3 and lays out the bucket
+// index's offsets.
 func ExclusiveSumInto(counts, out []int64) []int64 {
 	out[0] = 0
 	for i, c := range counts {
@@ -52,51 +39,15 @@ func ExclusiveSumInto(counts, out []int64) []int64 {
 	return out
 }
 
-// ToCSR converts the edge list to CSR, given the per-vertex edge counts
-// accumulated during edge generation. This is the host-side generate_csr
-// path of Algorithm 3: each edge is placed twice using a cursor per vertex,
-// then adjacency lists are sorted. The degrees slice is consumed as cursor
-// scratch and holds garbage afterwards.
-func (c *COO) ToCSR(degrees []int64) (*CSR, error) {
-	return c.ToCSRInto(degrees, nil)
-}
-
-// ToCSRInto is ToCSR writing into g, reusing g's Offsets/Adj backing arrays
-// when they are large enough (pass nil to allocate a fresh CSR): the
-// zero-allocation steady-state path for the device builder, which converts
-// every conflict COO into the same pooled CSR storage. As with ToCSR,
-// degrees is consumed as cursor scratch. The edges may come in any order
-// and orientation, because every row is sorted after the fill: that is the
-// device builder's COO, whose rows claim slots through an atomic cursor,
-// and the all-pairs reference's.
-func (c *COO) ToCSRInto(degrees []int64, g *CSR) (*CSR, error) {
-	if len(degrees) != c.N {
-		return nil, fmt.Errorf("graph: %d degrees for %d vertices", len(degrees), c.N)
-	}
-	if g == nil {
-		g = &CSR{}
-	}
-	g.N = c.N
-	g.Offsets = ExclusiveSumInto(degrees, grow.Slice(g.Offsets, c.N+1))
-	if g.Offsets[c.N] != int64(2*len(c.U)) {
-		return nil, fmt.Errorf("graph: degree sum %d != 2·edges %d", g.Offsets[c.N], 2*len(c.U))
-	}
-	g.Adj = grow.Slice(g.Adj, int(g.Offsets[c.N]))
-	cursor := degrees
-	copy(cursor, g.Offsets[:c.N])
-	c.place(g.Adj, cursor)
-	g.sortAdjacency()
-	return g, nil
-}
-
 // RowLanesToCSRInto converts an edge list held in lanes to CSR in g,
-// reusing g's backing arrays as ToCSRInto does, and sorts nothing. It is
-// generate_csr for the CPU builder's lanes: the lanes are cut into groups
-// contiguous runs, each group counts its lanes' per-vertex entries on its
-// own goroutine, one serial pass turns the counts into Offsets and
-// per-group cursors (Offsets[v] plus the entries of earlier groups), and
-// each group then places its lanes' edges, in lane order, on its own
-// goroutine again.
+// reusing g's Offsets and Adj backing arrays when they are large enough
+// (nil allocates a fresh CSR), and sorts nothing. It is the host-side
+// generate_csr of Algorithm 3 for every conflict builder's lanes: the
+// lanes are cut into groups contiguous runs, each group counts its lanes'
+// per-vertex entries on its own goroutine, one serial pass turns the
+// counts into Offsets and per-group cursors (Offsets[v] plus the entries
+// of earlier groups), and each group then places its lanes' edges, in lane
+// order, on its own goroutine again.
 //
 // The lanes must be row bands in order: every lane has N vertices, every
 // edge (u, v) has u < v, each lane lists its rows ascending and each row's
@@ -177,8 +128,8 @@ func fillLanes(lanes []COO, cur []int64, adj []int32) {
 	}
 }
 
-// place is the fill step of every COO→CSR conversion: it writes each edge
-// {u, v} to adj at both endpoints' cursors and advances them.
+// place is the conversion's fill step: it writes each edge {u, v} to adj at
+// both endpoints' cursors and advances them.
 func (c *COO) place(adj []int32, cursor []int64) {
 	for i := range c.U {
 		u, v := c.U[i], c.V[i]
@@ -187,13 +138,6 @@ func (c *COO) place(adj []int32, cursor []int64) {
 		adj[cursor[v]] = u
 		cursor[v]++
 	}
-}
-
-// CountDegrees recomputes per-vertex degrees from the edge list.
-func (c *COO) CountDegrees() []int64 {
-	deg := make([]int64, c.N)
-	c.addDegrees(deg)
-	return deg
 }
 
 // addDegrees adds each edge's two endpoint entries to deg.

@@ -1,7 +1,8 @@
 // Package graph provides the graph substrate: Compressed Sparse Row storage,
-// COO→CSR conversion (the host-side mirror of the paper's Algorithm 3),
-// implicit edge-oracle graphs that are never materialized, deterministic
-// dense random generators, and validity checking for colorings.
+// the conflict builders' COO→CSR conversion (the host-side mirror of the
+// paper's Algorithm 3), implicit edge-oracle graphs that are never
+// materialized, deterministic dense random generators, and validity
+// checking for colorings.
 //
 // Vertices are dense integers [0, N). Adjacency arrays store int32 vertex
 // ids — the same choice that limits ECL-GC-R to 32-bit instances in the
@@ -158,10 +159,12 @@ func FromEdges(n int, edges [][2]int32) (*CSR, error) {
 		cursor[v]++
 	}
 	g := &CSR{N: n, Offsets: offsets, Adj: adj}
-	g.sortAdjacency()
-	// Detect duplicates after sorting.
 	for u := 0; u < n; u++ {
+		// slices.Sort, not sort.Slice: the interface-based sort allocates a
+		// closure and reflect header per row. Duplicates are adjacent once
+		// the row is sorted.
 		a := g.Neighbors(u)
+		slices.Sort(a)
 		for i := 1; i < len(a); i++ {
 			if a[i] == a[i-1] {
 				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", u, a[i])
@@ -169,15 +172,6 @@ func FromEdges(n int, edges [][2]int32) (*CSR, error) {
 		}
 	}
 	return g, nil
-}
-
-func (g *CSR) sortAdjacency() {
-	// slices.Sort, not sort.Slice: this runs once per vertex on every
-	// sorting COO→CSR conversion and the interface-based sort allocates a
-	// closure and reflect header per call.
-	for u := 0; u < g.N; u++ {
-		slices.Sort(g.Neighbors(u))
-	}
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertices,

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -161,14 +160,14 @@ func TestDegreesMatchMaterialized(t *testing.T) {
 }
 
 func TestExclusiveSum(t *testing.T) {
-	out := ExclusiveSum([]int64{3, 0, 2, 5})
+	out := ExclusiveSumInto([]int64{3, 0, 2, 5}, make([]int64, 5))
 	want := []int64{0, 3, 3, 5, 10}
 	for i := range want {
 		if out[i] != want[i] {
-			t.Fatalf("ExclusiveSum = %v", out)
+			t.Fatalf("ExclusiveSumInto = %v", out)
 		}
 	}
-	if got := ExclusiveSum(nil); len(got) != 1 || got[0] != 0 {
+	if got := ExclusiveSumInto(nil, []int64{7}); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("empty scan = %v", got)
 	}
 }
@@ -181,7 +180,7 @@ func TestExclusiveSumQuick(t *testing.T) {
 			counts[i] = int64(r)
 			total += int64(r)
 		}
-		out := ExclusiveSum(counts)
+		out := ExclusiveSumInto(counts, make([]int64, len(counts)+1))
 		if out[len(out)-1] != total {
 			return false
 		}
@@ -198,49 +197,42 @@ func TestExclusiveSumQuick(t *testing.T) {
 }
 
 func TestCOOToCSRRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	r := RandomOracle{N: 40, P: 0.4, Seed: uint64(rng.Int63())}
-	coo := &COO{N: 40}
+	// An oracle's edges, listed row-major into three row-band lanes as a
+	// conflict builder emits them, must convert back to the oracle's graph
+	// with every group count.
+	r := RandomOracle{N: 40, P: 0.4, Seed: 17}
+	lanes := make([]COO, 3)
+	for w := range lanes {
+		lanes[w].N = 40
+	}
 	for u := 0; u < 40; u++ {
+		lane := &lanes[u*len(lanes)/40]
 		for v := u + 1; v < 40; v++ {
 			if r.HasEdge(u, v) {
-				// Insert in arbitrary orientation to exercise both cursors.
-				if rng.Intn(2) == 0 {
-					coo.Append(int32(u), int32(v))
-				} else {
-					coo.Append(int32(v), int32(u))
+				lane.U = append(lane.U, int32(u))
+				lane.V = append(lane.V, int32(v))
+			}
+		}
+	}
+	want := Materialize(r)
+	for groups := 1; groups <= len(lanes); groups++ {
+		g, err := RowLanesToCSRInto(lanes, groups, make([]int64, groups*40), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("groups=%d: %v", groups, err)
+		}
+		if g.NumEdges() != want.NumEdges() {
+			t.Fatalf("groups=%d: edges %d vs %d", groups, g.NumEdges(), want.NumEdges())
+		}
+		for u := 0; u < 40; u++ {
+			for v := 0; v < 40; v++ {
+				if g.HasEdge(u, v) != want.HasEdge(u, v) {
+					t.Fatalf("groups=%d: mismatch at (%d,%d)", groups, u, v)
 				}
 			}
 		}
-	}
-	g, err := coo.ToCSR(coo.CountDegrees())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := Materialize(r)
-	if g.NumEdges() != want.NumEdges() {
-		t.Fatalf("edges %d vs %d", g.NumEdges(), want.NumEdges())
-	}
-	for u := 0; u < 40; u++ {
-		for v := 0; v < 40; v++ {
-			if g.HasEdge(u, v) != want.HasEdge(u, v) {
-				t.Fatalf("mismatch at (%d,%d)", u, v)
-			}
-		}
-	}
-}
-
-func TestCOOToCSRBadDegrees(t *testing.T) {
-	coo := &COO{N: 3}
-	coo.Append(0, 1)
-	if _, err := coo.ToCSR([]int64{1, 1}); err == nil {
-		t.Error("wrong-length degrees accepted")
-	}
-	if _, err := coo.ToCSR([]int64{1, 1, 1}); err == nil {
-		t.Error("inconsistent degree sum accepted")
 	}
 }
 
@@ -350,8 +342,7 @@ func TestCSRBytesPositive(t *testing.T) {
 	if g.Bytes() <= 0 {
 		t.Fatal("Bytes must be positive")
 	}
-	coo := &COO{N: 5}
-	coo.Append(1, 2)
+	coo := &COO{N: 5, U: []int32{1}, V: []int32{2}}
 	if coo.Bytes() <= 0 {
 		t.Fatal("COO bytes must be positive")
 	}

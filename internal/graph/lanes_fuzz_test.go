@@ -9,14 +9,15 @@ import (
 	"picasso/internal/grow"
 )
 
-// FuzzRowLanesMatchToCSR checks the lane-parallel conversion against the
-// sorting ToCSR. Each input draws a row-major, row-ascending edge set on
-// n ≤ 512 vertices, cuts it into 1–8 lanes at random row boundaries (so
-// lanes may be empty, and outnumber the rows), and converts it with every
-// group count from 1 to the lane count: Offsets and Adj must equal ToCSR's
-// over the concatenated lanes. A second edge set on half the vertices then
-// reuses the same cursor scratch and CSR, as a warm arena does.
-func FuzzRowLanesMatchToCSR(f *testing.F) {
+// FuzzRowLanesMatchFromEdges checks the lane-parallel conversion against
+// FromEdges, the parsers' independent sorting path. Each input draws a
+// row-major, row-ascending edge set on n ≤ 512 vertices, cuts it into 1–8
+// lanes at random row boundaries (so lanes may be empty, and outnumber the
+// rows), and converts it with every group count from 1 to the lane count:
+// Offsets and Adj must equal FromEdges' over the same edges. A second edge
+// set on half the vertices then reuses the same cursor scratch and CSR, as
+// a warm arena does.
+func FuzzRowLanesMatchFromEdges(f *testing.F) {
 	f.Add(uint16(1), uint8(1), uint8(128), int64(1))
 	f.Add(uint16(3), uint8(8), uint8(255), int64(2)) // more lanes than rows
 	f.Add(uint16(60), uint8(5), uint8(40), int64(3))
@@ -37,14 +38,18 @@ func FuzzRowLanesMatchToCSR(f *testing.F) {
 
 // checkRowLanes draws one edge set on n vertices with edge probability
 // density/255, cuts it into w lanes and compares every group count's
-// conversion into g, with cursors grown like the arena's, against ToCSR.
+// conversion into g, with cursors grown like the arena's, against
+// FromEdges.
 func checkRowLanes(t *testing.T, n, w int, density uint8, rng *rand.Rand, cursors *[]int64, g *CSR) {
 	t.Helper()
 	all := &COO{N: n}
+	var edges [][2]int32
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Intn(255) < int(density) {
-				all.Append(int32(u), int32(v))
+				all.U = append(all.U, int32(u))
+				all.V = append(all.V, int32(v))
+				edges = append(edges, [2]int32{int32(u), int32(v)})
 			}
 		}
 	}
@@ -60,7 +65,7 @@ func checkRowLanes(t *testing.T, n, w int, density uint8, rng *rand.Rand, cursor
 		hi := sort.Search(len(all.U), func(e int) bool { return all.U[e] >= int32(bounds[k+1]) })
 		lanes[k] = COO{N: n, U: all.U[lo:hi], V: all.V[lo:hi]}
 	}
-	want, err := all.ToCSR(all.CountDegrees())
+	want, err := FromEdges(n, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func checkRowLanes(t *testing.T, n, w int, density uint8, rng *rand.Rand, cursor
 			t.Fatalf("n=%d lanes=%v groups=%d: %v", n, bounds, groups, err)
 		}
 		if got.N != n || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adj, want.Adj) {
-			t.Fatalf("n=%d lanes=%v groups=%d: CSR differs from ToCSR", n, bounds, groups)
+			t.Fatalf("n=%d lanes=%v groups=%d: CSR differs from FromEdges", n, bounds, groups)
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("n=%d lanes=%v groups=%d: %v", n, bounds, groups, err)

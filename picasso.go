@@ -143,7 +143,8 @@ type (
 	// ScheduleError reports Options schedule fields that no single run can
 	// honor together (e.g. Frozen with Resume).
 	ScheduleError = core.ScheduleError
-	// EntrantStats describes one portfolio entrant's configuration and run.
+	// EntrantStats describes one portfolio entrant's run; its Name spells
+	// out the entrant's configuration.
 	EntrantStats = core.EntrantStats
 )
 

@@ -5,7 +5,8 @@
 # the same dir, and assert the journal replay RESUMES the job (result
 # reports resumed_shards > 0, stats count a resume) and that the resumed
 # coloring is bit-identical to an uninterrupted run of the same spec.
-# CI runs this as the durability gate; it also works locally:
+# Binaries, artifact dirs and responses live in a private work dir removed
+# on exit. CI runs this as the durability gate; it also works locally:
 # ./scripts/crashtest_serve.sh
 set -euo pipefail
 
@@ -16,15 +17,17 @@ BASE="http://$ADDR/v1"
 SPEC='{"random":"40000:0.5","seed":7,"shard":5000}'
 
 cd "$(dirname "$0")/.."
-go build -o /tmp/picasso-serve-crash ./cmd/picasso-serve
-
-ARTDIR=$(mktemp -d)
-REFDIR=$(mktemp -d)
+WORK=$(mktemp -d)
 SERVE_PID=""
-trap 'kill -9 "$SERVE_PID" 2>/dev/null || true; rm -rf "$ARTDIR" "$REFDIR"' EXIT
+trap 'kill -9 "$SERVE_PID" 2>/dev/null || true; wait "$SERVE_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+go build -o "$WORK/picasso-serve" ./cmd/picasso-serve
+
+ARTDIR="$WORK/artifacts"
+REFDIR="$WORK/reference"
+mkdir "$ARTDIR" "$REFDIR"
 
 start_server() { # start_server <artifact-dir>
-  /tmp/picasso-serve-crash -addr "$ADDR" -serve-workers 1 -artifact-dir "$1" &
+  "$WORK/picasso-serve" -addr "$ADDR" -serve-workers 1 -artifact-dir "$1" &
   SERVE_PID=$!
   for i in $(seq 1 50); do
     if curl -sf "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
@@ -94,7 +97,7 @@ if [ "${resumed:-0}" -lt 1 ]; then
   echo "FAIL: stats did not count a resumed job: $stats" >&2
   exit 1
 fi
-code=$(curl -s -o /tmp/crash_groups.json -w '%{http_code}' "$BASE/jobs/$id/groups")
+code=$(curl -s -o "$WORK/groups.json" -w '%{http_code}' "$BASE/jobs/$id/groups")
 if [ "$code" != 200 ]; then echo "FAIL: groups returned HTTP $code" >&2; exit 1; fi
 
 kill -9 "$SERVE_PID" 2>/dev/null || true
@@ -108,8 +111,8 @@ rsubmit=$(curl -sf -X POST "$BASE/jobs" -d "$SPEC")
 rid=$(echo "$rsubmit" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 if [ "$rid" != "$id" ]; then echo "FAIL: reference job id $rid != $id" >&2; exit 1; fi
 poll_done "$rid" "reference"
-curl -sf -o /tmp/crash_groups_ref.json "$BASE/jobs/$rid/groups"
-if ! cmp -s /tmp/crash_groups.json /tmp/crash_groups_ref.json; then
+curl -sf -o "$WORK/groups_ref.json" "$BASE/jobs/$rid/groups"
+if ! cmp -s "$WORK/groups.json" "$WORK/groups_ref.json"; then
   echo "FAIL: resumed coloring differs from the uninterrupted run" >&2
   exit 1
 fi

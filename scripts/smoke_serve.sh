@@ -4,19 +4,22 @@
 # a 200 + non-empty groups response. Then the artifact gate: prep a Pauli
 # input with the CLI, serve it from the prepped slab, restart the server on
 # the same artifact dir, and assert the resubmission is answered from the
-# disk tier without recoloring. CI runs this as the service gate; it also
-# works locally: ./scripts/smoke_serve.sh
+# disk tier without recoloring. Binaries, artifacts and responses live in a
+# private work dir removed on exit. CI runs this as the service gate; it
+# also works locally: ./scripts/smoke_serve.sh
 set -euo pipefail
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18080}"
 BASE="http://$ADDR/v1"
 
 cd "$(dirname "$0")/.."
-go build -o /tmp/picasso-serve ./cmd/picasso-serve
+WORK=$(mktemp -d)
+SERVE_PID=""
+trap 'kill "$SERVE_PID" 2>/dev/null || true; wait "$SERVE_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+go build -o "$WORK/picasso-serve" ./cmd/picasso-serve
 
-/tmp/picasso-serve -addr "$ADDR" -serve-workers 2 &
+"$WORK/picasso-serve" -addr "$ADDR" -serve-workers 2 &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
 # Wait for liveness.
 for i in $(seq 1 50); do
@@ -43,12 +46,12 @@ for i in $(seq 1 100); do
 done
 
 # Groups must answer 200 with a non-empty partition.
-code=$(curl -s -o /tmp/groups.json -w '%{http_code}' "$BASE/jobs/$id/groups")
+code=$(curl -s -o "$WORK/groups.json" -w '%{http_code}' "$BASE/jobs/$id/groups")
 if [ "$code" != 200 ]; then echo "FAIL: groups returned HTTP $code" >&2; exit 1; fi
-ngroups=$(sed -n 's/.*"num_groups":\([0-9]*\).*/\1/p' /tmp/groups.json)
+ngroups=$(sed -n 's/.*"num_groups":\([0-9]*\).*/\1/p' "$WORK/groups.json")
 if [ -z "$ngroups" ] || [ "$ngroups" -eq 0 ]; then
   echo "FAIL: empty groups response" >&2
-  head -c 400 /tmp/groups.json >&2
+  head -c 400 "$WORK/groups.json" >&2
   exit 1
 fi
 
@@ -100,8 +103,8 @@ if [ "${rentrants:-0}" -ne 3 ] || [ -z "$rwinner" ]; then
   echo "$rstatus" >&2
   exit 1
 fi
-rgcode=$(curl -s -o /tmp/rgroups.json -w '%{http_code}' "$BASE/jobs/$rid/groups")
-rgroups=$(sed -n 's/.*"num_groups":\([0-9]*\).*/\1/p' /tmp/rgroups.json)
+rgcode=$(curl -s -o "$WORK/rgroups.json" -w '%{http_code}' "$BASE/jobs/$rid/groups")
+rgroups=$(sed -n 's/.*"num_groups":\([0-9]*\).*/\1/p' "$WORK/rgroups.json")
 if [ "$rgcode" != 200 ] || [ -z "$rgroups" ] || [ "$rgroups" -eq 0 ]; then
   echo "FAIL: portfolio winner groups missing (HTTP $rgcode)" >&2; exit 1
 fi
@@ -123,13 +126,14 @@ kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
 # --- Artifact gate: prep -> serve -> restart -> cache hit from disk ---
-go build -o /tmp/picasso ./cmd/picasso
-ARTDIR=$(mktemp -d)
-printf 'XXIZ\nIYZX\nZZII\nXYXY\nIIII\nZIZI\n' > /tmp/smoke_paulis.txt
-/tmp/picasso -prep -strings /tmp/smoke_paulis.txt -artifact-dir "$ARTDIR"
+go build -o "$WORK/picasso" ./cmd/picasso
+ARTDIR="$WORK/artifacts"
+mkdir "$ARTDIR"
+printf 'XXIZ\nIYZX\nZZII\nXYXY\nIIII\nZIZI\n' > "$WORK/paulis.txt"
+"$WORK/picasso" -prep -strings "$WORK/paulis.txt" -artifact-dir "$ARTDIR"
 SPEC='{"strings":["XXIZ","IYZX","ZZII","XYXY","IIII","ZIZI"],"seed":1}'
 
-/tmp/picasso-serve -addr "$ADDR" -serve-workers 2 -artifact-dir "$ARTDIR" &
+"$WORK/picasso-serve" -addr "$ADDR" -serve-workers 2 -artifact-dir "$ARTDIR" &
 SERVE_PID=$!
 for i in $(seq 1 50); do
   if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
@@ -162,9 +166,9 @@ fi
 # Generate a benchmark instance as a DIMACS file, ship it inline as
 # graph_data (newlines JSON-escaped; DIMACS bodies carry no quotes or
 # backslashes), and color it through the same submit/poll/groups path.
-go build -o /tmp/datasetgen ./cmd/datasetgen
-/tmp/datasetgen -graph queen5_5 -format dimacs -out /tmp/smoke_queen.col
-GDATA=$(awk '{printf "%s\\n", $0}' /tmp/smoke_queen.col)
+go build -o "$WORK/datasetgen" ./cmd/datasetgen
+"$WORK/datasetgen" -graph queen5_5 -format dimacs -out "$WORK/queen.col"
+GDATA=$(awk '{printf "%s\\n", $0}' "$WORK/queen.col")
 GSPEC="{\"graph_data\":\"$GDATA\",\"seed\":5}"
 
 gsubmit=$(curl -sf -X POST "$BASE/jobs" -d "$GSPEC")
@@ -180,8 +184,8 @@ for i in $(seq 1 100); do
   if [ "$i" = 100 ]; then echo "FAIL: graph job never finished (state=$state)" >&2; exit 1; fi
   sleep 0.2
 done
-ggcode=$(curl -s -o /tmp/ggroups.json -w '%{http_code}' "$BASE/jobs/$gid/groups")
-ggroups=$(sed -n 's/.*"num_groups":\([0-9]*\).*/\1/p' /tmp/ggroups.json)
+ggcode=$(curl -s -o "$WORK/ggroups.json" -w '%{http_code}' "$BASE/jobs/$gid/groups")
+ggroups=$(sed -n 's/.*"num_groups":\([0-9]*\).*/\1/p' "$WORK/ggroups.json")
 if [ "$ggcode" != 200 ] || [ -z "$ggroups" ] || [ "$ggroups" -eq 0 ]; then
   echo "FAIL: graph groups missing (HTTP $ggcode)" >&2; exit 1
 fi
@@ -190,7 +194,7 @@ fi
 # cache hit — state done immediately, nothing recolored.
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
-/tmp/picasso-serve -addr "$ADDR" -serve-workers 2 -artifact-dir "$ARTDIR" &
+"$WORK/picasso-serve" -addr "$ADDR" -serve-workers 2 -artifact-dir "$ARTDIR" &
 SERVE_PID=$!
 for i in $(seq 1 50); do
   if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
