@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§VII) plus the ablations from DESIGN.md. Each benchmark runs the
+// (§VII) plus the experiments package's ablations. Each benchmark runs the
 // corresponding experiment driver end to end and reports domain metrics
 // (colors, conflict edges, memory, speedups) via b.ReportMetric, so
 // `go test -bench=. -benchmem` reproduces the full evaluation at CI scale.

@@ -8,7 +8,7 @@
 // symmetry) and then applies the *exact* Jordan–Wigner transform. The
 // substitution preserves what the coloring pipeline consumes: large sets of
 // distinct Pauli strings with O(N^4) scaling and ~50%-dense commutation
-// graphs. See DESIGN.md §2.
+// graphs.
 package chem
 
 import (

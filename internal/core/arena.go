@@ -63,10 +63,6 @@ type Arena struct {
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{be: backend.NewArena()} }
 
-// backendArena exposes the pooled conflict-construction state for the
-// builder Config.
-func (a *Arena) backendArena() *backend.Arena { return a.be }
-
 // activeBuf returns the active-vertex table sized for n vertices (contents
 // garbage).
 func (a *Arena) activeBuf(n int) []int32 {

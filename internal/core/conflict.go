@@ -70,19 +70,22 @@ func newRangeEdgeOracle(view graph.Oracle) edgeOracle {
 	return eo
 }
 
-// crossOracle answers adjacency between an active-local row and *global*
-// fixed-frontier ids (backend.CrossOracle): the streaming fixed-color pass
-// tests shard candidates against the already-colored prefix through it.
-// Both sides live in the input oracle's id space, so the oracle's batched
-// row kernel applies directly when it has one.
+// crossOracle answers adjacency between a local row and *global*
+// fixed-frontier ids (backend.CrossOracle): the frozen-frontier scan tests
+// candidates against already-colored vertices through it. Local id i is
+// global id active[i] when an active table is given (the fixed-color pass),
+// else base+i (the speculative repair's contiguous lane range). Both sides
+// then live in the input oracle's id space, so the oracle's batched row
+// kernel applies directly when it has one.
 type crossOracle struct {
 	o      graph.Oracle
 	row    graph.RowOracle // non-nil when o batches rows
-	active []int32         // active-local id → global id
+	active []int32         // local id → global id; nil maps i to base+i
+	base   int
 }
 
-func newCrossOracle(o graph.Oracle, active []int32) crossOracle {
-	co := crossOracle{o: o, active: active}
+func newCrossOracle(o graph.Oracle, active []int32, base int) crossOracle {
+	co := crossOracle{o: o, active: active, base: base}
 	if ro, ok := o.(graph.RowOracle); ok {
 		co.row = ro
 	}
@@ -90,37 +93,10 @@ func newCrossOracle(o graph.Oracle, active []int32) crossOracle {
 }
 
 func (c crossOracle) HasCross(i int, fixed []int32, out []bool) {
-	u := int(c.active[i])
-	if c.row != nil {
-		c.row.HasEdgeRow(u, fixed, out)
-		return
-	}
-	for k, f := range fixed {
-		out[k] = c.o.HasEdge(u, int(f))
-	}
-}
-
-// shiftCrossOracle is crossOracle for a dense local range [base, base+m):
-// local id i is global id base+i, with no mapping table. The speculative
-// repair's collision scan tests one lane's contiguous vertices against the
-// colors finalized before the lane, so the identity-plus-offset shape is
-// all it needs.
-type shiftCrossOracle struct {
-	o    graph.Oracle
-	row  graph.RowOracle // non-nil when o batches rows
-	base int
-}
-
-func newShiftCrossOracle(o graph.Oracle, base int) shiftCrossOracle {
-	co := shiftCrossOracle{o: o, base: base}
-	if ro, ok := o.(graph.RowOracle); ok {
-		co.row = ro
-	}
-	return co
-}
-
-func (c shiftCrossOracle) HasCross(i int, fixed []int32, out []bool) {
 	u := c.base + i
+	if c.active != nil {
+		u = int(c.active[i])
+	}
 	if c.row != nil {
 		c.row.HasEdgeRow(u, fixed, out)
 		return
@@ -181,5 +157,4 @@ var (
 	_ backend.BatchEdgeOracle = edgeOracle{}
 	_ backend.DeviceSizer     = edgeOracle{}
 	_ backend.CrossOracle     = crossOracle{}
-	_ backend.CrossOracle     = shiftCrossOracle{}
 )

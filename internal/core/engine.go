@@ -282,7 +282,16 @@ func (e *engine) iterate() error {
 	if e.streamed && e.fixedEnd > 0 {
 		forbidden = e.ar.forbidBuf(m * L)
 		maskRelease = e.tr.Scoped(int64(m * L))
-		if err := e.fixedPass(cl, forbidden, &st); err != nil {
+		// The frontier is chunked by the unit range — by the moved set for a
+		// recolor unit, which spans [0, n) while its live memory must follow
+		// the active vertices.
+		chunk := e.end - e.start
+		if e.refineCeil > 0 {
+			chunk = m
+		}
+		var err error
+		st.FixedPairsTested, err = e.scanFrontier(newCrossOracle(e.o, e.active, 0), cl, 0, e.fixedEnd, chunk, e.base, forbidden)
+		if err != nil {
 			release()
 			return err
 		}
@@ -395,16 +404,7 @@ func (e *engine) iterate() error {
 		e.base += int32(P)
 	}
 
-	e.res.TotalConflictEdges += st.ConflictEdges
-	e.res.TotalPairsTested += st.PairsTested
-	e.res.FixedPairsTested += st.FixedPairsTested
-	if st.ConflictEdges > e.res.MaxConflictEdges {
-		e.res.MaxConflictEdges = st.ConflictEdges
-	}
-	e.res.AssignTime += st.AssignTime
-	e.res.BuildTime += st.BuildTime
-	e.res.ColorTime += st.ColorTime
-	e.res.Iters = append(e.res.Iters, st)
+	e.res.record(st)
 	if e.opts.Progress != nil {
 		e.opts.Progress(st)
 	}
@@ -413,6 +413,19 @@ func (e *engine) iterate() error {
 	// — a per-iteration copy would put O(n) garbage on the steady-state
 	// path for observability Progress already provides.
 	return nil
+}
+
+// record folds one iteration into the Result's totals and appends it to
+// Iters. A speculative group replays its lanes' iterations through it.
+func (r *Result) record(st IterStats) {
+	r.TotalConflictEdges += st.ConflictEdges
+	r.TotalPairsTested += st.PairsTested
+	r.FixedPairsTested += st.FixedPairsTested
+	r.MaxConflictEdges = max(r.MaxConflictEdges, st.ConflictEdges)
+	r.AssignTime += st.AssignTime
+	r.BuildTime += st.BuildTime
+	r.ColorTime += st.ColorTime
+	r.Iters = append(r.Iters, st)
 }
 
 // edgeView builds the iteration's local adjacency view. A unit's first
@@ -432,39 +445,27 @@ func (e *engine) edgeView() edgeOracle {
 	return newEdgeOracle(e.o, e.active, false, e.ar)
 }
 
-// fixedPass marks, for every active vertex and candidate-list slot,
-// whether the slot's color is already held by an adjacent frozen vertex in
-// the frontier [0, fixedEnd). The frontier is indexed chunk by chunk so the
-// pass's live memory stays O(B) regardless of how much of the graph is
-// already colored; each chunk's index and staging are charged to the
-// tracker while they live. The price of that bound is a linear
-// window-filter scan of the frontier per iteration (two compares per frozen
-// vertex): a per-shard index over all frontier colors would amortize the
-// scan across the shard's iterations but hold O(fixedEnd) ≈ O(n) live —
-// exactly what streaming exists to avoid — so the scan is the deliberate
-// trade.
-func (e *engine) fixedPass(cl *colorLists, forbidden []bool, st *IterStats) error {
-	P := int32(cl.P)
-	cross := newCrossOracle(e.o, e.active)
-	chunk := e.end - e.start
-	if e.refineCeil > 0 {
-		// Refinement units span [0, n) but their live memory must follow the
-		// moved set: chunk by the active count, not the unit range.
-		chunk = len(e.active)
-	}
-	if chunk < 4096 {
-		chunk = 4096
-	}
-	for lo := 0; lo < e.fixedEnd; lo += chunk {
-		hi := lo + chunk
-		if hi > e.fixedEnd {
-			hi = e.fixedEnd
-		}
+// scanFrontier is the frozen-frontier scan shared by the fixed-color pass
+// and the speculative repair: it marks mask[i*L+k] when slot k of row i
+// carries a color that an adjacent vertex of [lo, hi) already holds inside
+// the palette window [base, base+P) (L and P from lists; the color is
+// compared palette-local, c − base). Uncolored vertices (−1) fall below
+// every window and are skipped. The range is indexed chunk by chunk (chunk
+// floored at 4096), so the scan's live memory stays O(chunk) however much
+// of the graph is already colored; each chunk's index and staging are
+// charged to the tracker while they live. The price of that bound is a
+// linear window-filter scan of the range per call (two compares per frozen
+// vertex): a per-shard index over all frontier colors would amortize it
+// across a shard's iterations but hold O(n) live — exactly what streaming
+// exists to avoid. Returns the cross adjacency tests spent.
+func (e *engine) scanFrontier(cross crossOracle, lists backend.Lists, lo, hi, chunk int, base int32, mask []bool) (int64, error) {
+	P := lists.Palette()
+	chunk = max(chunk, 4096)
+	var tested int64
+	for ; lo < hi; lo += chunk {
 		ids, cols := e.ar.fixedBufs()
-		for v := lo; v < hi; v++ {
-			// Only frontier colors inside the current palette window can
-			// collide with this iteration's candidates.
-			if c := e.colors[v] - e.base; c >= 0 && c < P {
+		for v, end := lo, min(lo+chunk, hi); v < end; v++ {
+			if c := e.colors[v] - base; c >= 0 && c < int32(P) {
 				ids = append(ids, int32(v))
 				cols = append(cols, c)
 			}
@@ -473,15 +474,15 @@ func (e *engine) fixedPass(cl *colorLists, forbidden []bool, st *IterStats) erro
 		if len(ids) == 0 {
 			continue
 		}
-		fb := backend.NewFixedBucketsIn(e.ar.be, cl.P, ids, cols)
+		fb := backend.NewFixedBucketsIn(e.ar.be, P, ids, cols)
 		release := e.tr.Scoped(fb.Bytes() + int64(len(ids))*8)
-		st.FixedPairsTested += fb.Forbid(e.ctx, cross, cl, e.opts.Workers, e.ar.be, forbidden)
+		tested += fb.Forbid(e.ctx, cross, lists, e.opts.Workers, e.ar.be, mask)
 		release()
 		if err := backend.Cancelled(e.ctx); err != nil {
-			return err
+			return tested, err
 		}
 	}
-	return nil
+	return tested, nil
 }
 
 // fallback finishes the unit's remaining vertices with fresh singleton

@@ -167,7 +167,7 @@ func (h *invHarness) options(t *testing.T, c invCase) Options {
 		opts.Speculate = int(c.schedule[len(c.schedule)-1] - '0')
 	case "speculate-fallback":
 		// Two lanes asked for under a budget that fits one worst-case shard
-		// and not two: the lane governor runs the sequential loop.
+		// and not two: the lane governor holds the run to one lane.
 		opts.Stream, opts.ShardSize, opts.Speculate = true, invShard, 2
 		opts.MemoryBudgetBytes = shardFootprint(&opts, invInputs[c.input].o, invN, invShard) * 3 / 2
 	case "append":
@@ -290,7 +290,7 @@ func TestStreamProperColoringEveryBackend(t *testing.T) {
 // The lane governor's fallback keeps the concurrent-shard contract: a
 // stream asked to run shards concurrently but held to one lane by its
 // budget is the plain stream, bit for bit, on every backend.
-func TestStreamPipelinedBitIdenticalEveryBackend(t *testing.T) {
+func TestStreamSpeculateFallbackBitIdenticalEveryBackend(t *testing.T) {
 	invariants(t, (*invHarness).check, "speculate-fallback")
 }
 
@@ -310,7 +310,7 @@ func TestStreamCheckpointResumeDeterminism(t *testing.T) {
 	invariants(t, (*invHarness).checkResume, "stream")
 }
 
-func TestStreamPipelinedCheckpointResume(t *testing.T) {
+func TestStreamSpeculateFallbackCheckpointResume(t *testing.T) {
 	invariants(t, (*invHarness).checkResume, "speculate-fallback")
 }
 

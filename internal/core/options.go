@@ -57,14 +57,17 @@
 //
 // # Speculative shard execution
 //
-// Options.Speculate colors S shards of a streamed run concurrently against
-// the same frozen frontier and then repairs cross-shard collisions
-// canonically (speculate.go), each lane on its own resources (arena,
-// conflict builder, child memtrack of the run's tracker — whose peak covers
-// the lanes combined). The result is proper and deterministic per seed, not
-// bit-identical to the sequential stream. It degrades to the sequential
-// loop when the budget cannot hold the combined footprints, keeps every
-// published checkpoint resumable, and cancels at the same stage boundaries.
+// Every stream runs one shard loop over groups of shards (streamShards in
+// speculate.go). A group of one shard is the plain stream; Options.Speculate
+// widens groups to S shards colored concurrently against the same frozen
+// frontier, then repairs cross-shard collisions canonically, each lane on
+// its own resources (arena, conflict builder, child memtrack of the run's
+// tracker — whose peak covers the lanes combined). The result is proper and
+// deterministic per seed, not bit-identical to one-shard groups. When the
+// budget cannot hold the combined footprints the governor holds the run to
+// one lane, which is the plain stream bit for bit; either way every
+// published checkpoint is resumable and cancellation lands at the same
+// stage boundaries.
 package core
 
 import (
@@ -233,21 +236,21 @@ type Options struct {
 	// Speculate, when ≥ 2, colors up to that many streamed shards
 	// concurrently against the same frozen frontier, then repairs
 	// cross-shard collisions: lane by lane (canonical ascending order),
-	// colliding vertices are detected with the batched fixed-bucket scan
-	// and recolored against the frozen remainder by the refinement
+	// colliding vertices are detected with the fixed-color pass's frontier
+	// scan and recolored against the frozen remainder by the refinement
 	// machinery. The result is proper and deterministic per seed, but not
-	// bit-identical to the sequential stream (later lanes cannot see
-	// earlier lanes' colors while coloring). Checkpoints land only at fully
+	// bit-identical to the plain stream (later lanes cannot see earlier
+	// lanes' colors while coloring). Checkpoints land only at fully
 	// repaired group boundaries. 0 and 1 disable. The budget governor
-	// reduces the lane count (down to sequential) when MemoryBudgetBytes
-	// cannot fit that many worst-case shards. Requires an oracle that is
-	// safe for concurrent readers (every built-in oracle is).
+	// reduces the lane count (down to one, the plain stream) when
+	// MemoryBudgetBytes cannot fit that many worst-case shards. Requires an
+	// oracle that is safe for concurrent readers (every built-in oracle is).
 	Speculate int
 
 	// builderInjected remembers that the caller supplied Builder explicitly
 	// (set by validate): a single injected instance is bound to one arena,
 	// so concurrent stream lanes cannot be derived from it and speculation
-	// falls back to sequential execution.
+	// runs on one lane.
 	builderInjected bool
 }
 
@@ -308,17 +311,20 @@ func (o *Options) validate() error {
 	}
 	o.builderInjected = o.Builder != nil
 	if o.Builder == nil {
-		b, err := backend.New(o.Backend, backend.Config{
-			Workers: o.Workers,
-			Device:  o.Device,
-			Arena:   o.Arena.backendArena(),
-		})
+		b, err := o.newBuilder(o.Arena)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 		o.Builder = b
 	}
 	return nil
+}
+
+// newBuilder builds the configured backend (Backend, Workers, Device) over
+// ar's conflict-construction pool: the run's builder, and each further
+// speculative lane's.
+func (o *Options) newBuilder(ar *Arena) (backend.ConflictBuilder, error) {
+	return backend.New(o.Backend, backend.Config{Workers: o.Workers, Device: o.Device, Arena: ar.be})
 }
 
 // meter gives a budgeted run a private tracker when the caller supplied

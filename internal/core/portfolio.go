@@ -219,16 +219,7 @@ func portfolio(ctx context.Context, o graph.Oracle, opts Options) (*Result, erro
 	root.SetBudget(opts.MemoryBudgetBytes)
 	root.ResetPeak()
 
-	var progressMu sync.Mutex
-	progress := opts.Progress
-	serialProgress := progress
-	if progress != nil {
-		serialProgress = func(st IterStats) {
-			progressMu.Lock()
-			defer progressMu.Unlock()
-			progress(st)
-		}
-	}
+	serialProgress := serialized(opts.Progress)
 
 	n := len(variants)
 	stats := make([]EntrantStats, n)

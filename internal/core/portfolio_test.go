@@ -58,7 +58,7 @@ func TestPortfolioCancellationDrainsLanes(t *testing.T) {
 	// Determinism of the guaranteed part: entrant 0's result is recorded
 	// before any racer starts, so the hopeless entrant's cancellation — and
 	// the winner — reproduce exactly.
-	root.Reset()
+	root.ResetPeak()
 	again, err := Run(context.Background(), o, opts)
 	if err != nil {
 		t.Fatal(err)

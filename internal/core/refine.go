@@ -12,7 +12,7 @@
 // (backend.FixedBuckets + CrossOracle), so peak memory follows the moved
 // set, never the graph. Vertices that cannot move keep their old color — a
 // round is a no-op for them, never improper — and rounds repeat until no
-// class falls for a few rounds, a round/time cap, or a target C.
+// class falls for stallRounds rounds, the round cap, or a target C.
 package core
 
 import (
@@ -38,18 +38,6 @@ type RefineOptions struct {
 	// and bounds each round so refinement never dissolves past it
 	// (0 = refine until convergence).
 	TargetColors int
-	// StallRounds stops refinement after this many consecutive rounds that
-	// eliminate no class (0 = 2).
-	StallRounds int
-	// MaxMoved caps the vertices dissolved per round. 0 derives the cap the
-	// way streaming derives a shard: from Options.MemoryBudgetBytes when one
-	// is set (largest moved set whose worst-case footprint fits the
-	// headroom), else the knob-free streaming default.
-	MaxMoved int
-	// MaxTime bounds the run's wall clock, checked at round boundaries
-	// (0 = none). The coloring is always left proper: a timed-out run simply
-	// keeps the rounds already won.
-	MaxTime time.Duration
 	// BudgetBytes is the pass's own host-memory budget (0 = the run's
 	// Options.MemoryBudgetBytes).
 	BudgetBytes int64
@@ -66,23 +54,15 @@ func (r *RefineOptions) fill() error {
 	if r.TargetColors < 0 {
 		return fmt.Errorf("core: negative refine target %d", r.TargetColors)
 	}
-	if r.StallRounds == 0 {
-		r.StallRounds = 2
-	}
-	if r.StallRounds < 0 {
-		return fmt.Errorf("core: negative refine stall rounds %d", r.StallRounds)
-	}
-	if r.MaxMoved < 0 {
-		return fmt.Errorf("core: negative refine moved cap %d", r.MaxMoved)
-	}
-	if r.MaxTime < 0 {
-		return fmt.Errorf("core: negative refine time cap %v", r.MaxTime)
-	}
 	if r.BudgetBytes < 0 {
 		return fmt.Errorf("core: negative refine budget %d", r.BudgetBytes)
 	}
 	return nil
 }
+
+// stallRounds stops refinement after this many consecutive rounds that
+// eliminate no class.
+const stallRounds = 2
 
 // RefineRound records one refinement round.
 type RefineRound struct {
@@ -150,24 +130,16 @@ func refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts *Opti
 	e.fixedEnd = n // the whole coloring is the frozen frontier
 
 	st := &RefineStats{ColorsBefore: e.colors.NumColors()}
-	baseline := e.tr.Current()
-	moveCap := ropts.MaxMoved
-	if moveCap == 0 {
-		if opts.MemoryBudgetBytes > 0 {
-			moveCap = autoShard(opts, o, n, n, baseline, 1)
-		} else {
-			moveCap = defaultShardSize(n)
-		}
-	}
+	// The per-round moved cap is derived the way streaming derives a shard:
+	// autoShard's largest moved set whose worst-case footprint fits the
+	// budget headroom, or the knob-free default without a budget.
+	moveCap := autoShard(opts, o, n, n, e.tr.Current(), 1)
 
 	stall := 0
 	for round := 0; round < ropts.Rounds; round++ {
 		if err := backend.Cancelled(ctx); err != nil {
 			e.abort()
 			return nil, err
-		}
-		if ropts.MaxTime > 0 && time.Since(t0) >= ropts.MaxTime {
-			break
 		}
 		C := e.renumberBySize()
 		if C < 2 || (ropts.TargetColors > 0 && C <= ropts.TargetColors) {
@@ -219,12 +191,8 @@ func refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts *Opti
 
 		pairs0, fixed0, iters0 := e.res.TotalPairsTested, e.res.FixedPairsTested, len(e.res.Iters)
 		rt0 := time.Now()
-		e.refineCeil = ceiling
 		e.shardIdx = round
-		e.initRefineUnit(moved, round)
-		err := e.runUnit()
-		e.refineCeil = 0
-		if err != nil {
+		if err := e.recolor(moved, ceiling, n+round); err != nil {
 			release()
 			e.abort()
 			return nil, err
@@ -272,7 +240,7 @@ func refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts *Opti
 		st.Stuck += stuck
 		if eliminated == 0 {
 			stall++
-			if stall >= ropts.StallRounds {
+			if stall >= stallRounds {
 				break
 			}
 		} else {
@@ -304,23 +272,17 @@ func refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts *Opti
 	return st, nil
 }
 
-// initRefineUnit arms the engine for one refinement round over the moved
-// vertex ids (any subset of [0, n), ascending). Round randomness derives
-// from (Seed, n + round), disjoint from the shard seed domain [0, n), so
-// refinement is deterministic and independent of any earlier streamed run
-// on the same seed.
-func (e *engine) initRefineUnit(ids []int32, round int) {
-	e.initRecolorUnit(ids, e.n+round)
-}
-
-// initRecolorUnit arms the engine for one fixed-remainder recolor unit over
-// an arbitrary ascending vertex subset, with unit randomness derived from
-// (Seed, key). The unit spans the whole graph — the frontier filter walks
-// every still-colored vertex — while the active set, and with it the unit's
-// live memory, is the given set alone. Callers partition the key space:
-// refinement rounds use n+round, speculative conflict repair 2n+groupStart —
-// all disjoint from the shard domain [0, n).
-func (e *engine) initRecolorUnit(ids []int32, key int) {
+// recolor runs one fixed-remainder recolor unit over an arbitrary ascending
+// vertex subset with the palette pinned to the existing colors [0, ceil),
+// then unpins it. The unit spans the whole graph — the frontier scan walks
+// every still-colored vertex of [0, fixedEnd) — while the active set, and
+// with it the unit's live memory, is the given set alone. Vertices that
+// cannot move stay uncolored for the caller to settle. Unit randomness
+// derives from (Seed, key); callers partition the key space: refinement
+// rounds use n+round, the speculative repair 2n+lane start — both disjoint
+// from the shard domain [0, n), so a recolor never replays a shard's random
+// stream.
+func (e *engine) recolor(ids []int32, ceil int32, key int) error {
 	e.start, e.end = 0, e.n
 	e.active = e.ar.activeBuf(len(ids))
 	copy(e.active, ids)
@@ -330,6 +292,10 @@ func (e *engine) initRecolorUnit(ids []int32, key int) {
 	e.iter = 0
 	e.bal = e.newBalance()
 	e.rng = newUnitRNG(e.opts.Seed, key)
+	e.refineCeil = ceil
+	err := e.runUnit()
+	e.refineCeil = 0
+	return err
 }
 
 // renumberBySize remaps the engine's coloring to dense ids [0, C) ordered

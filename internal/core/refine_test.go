@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"picasso/internal/graph"
 	"picasso/internal/memtrack"
@@ -76,6 +75,29 @@ func TestRefineHonorsBudget(t *testing.T) {
 	if st.ColorsAfter >= st.ColorsBefore {
 		t.Fatalf("budgeted refinement won nothing: %d -> %d", st.ColorsBefore, st.ColorsAfter)
 	}
+
+	// The budget-derived moved cap binds. autoShard at a zero baseline is at
+	// least the cap the run derived from its own baseline, so no round that
+	// dissolved more than one class moved more; and a round that stopped
+	// short of its quarter-of-the-classes limit was stopped by the cap.
+	moveCap := autoShard(&opts, o, o.N, o.N, 0, 1)
+	capped := 0
+	for _, r := range st.RoundStats {
+		if r.Classes > 1 && r.Moved > moveCap {
+			t.Fatalf("round %d moved %d vertices over cap %d", r.Round, r.Moved, moveCap)
+		}
+		C := r.Ceiling + r.Classes
+		limit := C - 1
+		if frac := C / 4; frac >= 1 && frac < limit {
+			limit = frac
+		}
+		if r.Classes < limit {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Fatalf("no round reached the moved cap %d: %d rounds", moveCap, len(st.RoundStats))
+	}
 }
 
 func TestRefineTargetAndMovedCap(t *testing.T) {
@@ -93,10 +115,9 @@ func TestRefineTargetAndMovedCap(t *testing.T) {
 		t.Fatalf("satisfied target still refined: %+v", st)
 	}
 
-	// A reachable target stops at (not below) it; MaxMoved bounds every
-	// round's moved set.
+	// A reachable target stops at (not below) it.
 	target := base.NumColors * 9 / 10
-	st, err = refineStats(Run(context.Background(), o, refining(Normal(6), base.Colors, RefineOptions{Rounds: 64, TargetColors: target, MaxMoved: 64})))
+	st, err = refineStats(Run(context.Background(), o, refining(Normal(6), base.Colors, RefineOptions{Rounds: 64, TargetColors: target})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,24 +126,6 @@ func TestRefineTargetAndMovedCap(t *testing.T) {
 	}
 	if st.ColorsAfter < target {
 		t.Fatalf("refined past the target: %d < %d", st.ColorsAfter, target)
-	}
-	for _, r := range st.RoundStats {
-		if r.Moved > 64 && r.Classes > 1 {
-			t.Fatalf("round %d moved %d vertices over cap 64", r.Round, r.Moved)
-		}
-	}
-
-	// A time cap of zero duration... MaxTime is checked before each round,
-	// so an immediately-elapsed cap yields zero rounds.
-	st, err = refineStats(Run(context.Background(), o, refining(Normal(6), base.Colors, RefineOptions{MaxTime: time.Nanosecond})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rounds != 0 {
-		t.Fatalf("nanosecond time cap ran %d rounds", st.Rounds)
-	}
-	if err := graph.VerifyOracle(o, st.Colors); err != nil {
-		t.Fatalf("timed-out refinement left the coloring improper: %v", err)
 	}
 }
 
@@ -201,7 +204,7 @@ func TestRefineValidation(t *testing.T) {
 		t.Error("incomplete coloring accepted")
 	}
 	for _, ropts := range []RefineOptions{
-		{Rounds: -1}, {TargetColors: -1}, {StallRounds: -1}, {MaxMoved: -1}, {MaxTime: -time.Second},
+		{Rounds: -1}, {TargetColors: -1},
 	} {
 		if _, err := refineStats(Run(ctx, o, refining(Normal(1), base.Colors, ropts))); err == nil {
 			t.Errorf("bad options %+v accepted", ropts)

@@ -2,20 +2,26 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"picasso/internal/graph"
 	"picasso/internal/memtrack"
 )
 
-func TestStreamPipelinedCancellation(t *testing.T) {
-	// Cancellation at every boundary of a speculative stream: a
-	// pre-cancelled run does nothing; a cancel delivered at a group boundary
-	// stops before the next group colors, with every lane's tracker charges
-	// released (no leak, even on the error path).
-	o := graph.RandomOracle{N: 4000, P: 0.5, Seed: 99}
-	opts := Normal(1)
-	opts.ShardSize = 500
+func TestStreamSpeculateCancellation(t *testing.T) {
+	// Cancellation anywhere in a speculative stream: a pre-cancelled run
+	// does nothing and a cancel at a group boundary stops before the next
+	// group colors, both returning ctx's error itself; a cancel delivered at
+	// the k-th Progress call — for every k, so inside lane units, repair
+	// units and collision scans — stops the run with ctx's error, wrapped
+	// when a build notices it. Every tracker
+	// charge is released, even on the error path. The last Progress call
+	// comes from the final repair unit's last iteration, after the run's
+	// last stage boundary: nothing is left to stop, and the run completes.
+	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 9}
+	opts := Normal(4)
+	opts.ShardSize = 300
 	opts.Speculate = 3
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -24,31 +30,66 @@ func TestStreamPipelinedCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled stream returned %v", err)
 	}
 
-	var tr memtrack.Tracker
-	opts.Tracker = &tr
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
+	var btr memtrack.Tracker
+	bopts := opts
+	bopts.Tracker = &btr
+	bctx, bcancel := context.WithCancel(context.Background())
+	defer bcancel()
 	boundaries := 0
-	opts.Checkpoint = func(st RunState) {
-		boundaries++
-		if boundaries == 2 {
-			cancel2()
+	bopts.Checkpoint = func(RunState) {
+		if boundaries++; boundaries == 1 {
+			bcancel()
 		}
 	}
-	if _, err := Run(ctx2, o, streamed(opts)); err != context.Canceled {
+	if _, err := Run(bctx, o, streamed(bopts)); err != context.Canceled {
 		t.Fatalf("boundary-cancelled stream returned %v", err)
 	}
-	if boundaries != 2 {
-		t.Fatalf("run continued for %d boundaries after cancellation", boundaries)
+	if boundaries != 1 || btr.Current() != 0 {
+		t.Fatalf("boundary-cancelled stream went on for %d boundaries and left %d tracked bytes",
+			boundaries, btr.Current())
 	}
-	if tr.Current() != 0 {
-		t.Fatalf("%d tracked bytes leaked on the cancellation path", tr.Current())
+
+	calls := 0
+	opts.Progress = func(IterStats) { calls++ }
+	full, err := Run(context.Background(), o, streamed(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.SpeculativeConflicts == 0 {
+		t.Fatal("no speculative conflicts: the sweep would never cancel inside a repair")
+	}
+	for k := 1; k <= calls; k++ {
+		var tr memtrack.Tracker
+		ctx, cancel := context.WithCancel(context.Background())
+		run := opts
+		run.Tracker = &tr
+		seen := 0
+		run.Progress = func(IterStats) {
+			if seen++; seen == k {
+				cancel()
+			}
+		}
+		res, err := Run(ctx, o, streamed(run))
+		cancel()
+		if k == calls {
+			if err != nil {
+				t.Fatalf("cancelled after the last stage boundary: returned %v", err)
+			}
+			if err := sameColoring(res.Colors, full.Colors); err != nil {
+				t.Fatalf("cancelled after the last stage boundary: %v", err)
+			}
+		} else if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at Progress call %d of %d: returned %v", k, calls, err)
+		}
+		if tr.Current() != 0 {
+			t.Fatalf("cancelled at Progress call %d of %d: %d tracked bytes leaked", k, calls, tr.Current())
+		}
 	}
 }
 
 // sameAsSequential runs opts as a speculative stream and asserts the lane
-// governor fell back to the sequential loop: nothing speculated, nothing
-// overlapped, and the coloring is seq's bit for bit.
+// governor held it to one lane: nothing speculated, nothing overlapped, and
+// the coloring is the plain stream seq's bit for bit.
 func sameAsSequential(t *testing.T, o graph.Oracle, opts Options, seq *Result) *Result {
 	t.Helper()
 	res, err := Run(context.Background(), o, streamed(opts))
@@ -60,14 +101,14 @@ func sameAsSequential(t *testing.T, o graph.Oracle, opts Options, seq *Result) *
 			res.SpeculativeConflicts, res.OverlapRatio)
 	}
 	if err := sameColoring(res.Colors, seq.Colors); err != nil {
-		t.Fatalf("vs the sequential stream: %v", err)
+		t.Fatalf("vs the plain stream: %v", err)
 	}
 	return res
 }
 
-func TestStreamPipelinedBudgetFallback(t *testing.T) {
+func TestStreamSpeculateBudgetFallback(t *testing.T) {
 	// When the budget cannot fit two worst-case shards the lane governor
-	// runs the sequential loop instead of speculating.
+	// runs one-shard groups instead of speculating.
 	o := graph.RandomOracle{N: 3000, P: 0.5, Seed: 41}
 	opts := Normal(7)
 	opts.ShardSize = 1000
@@ -89,7 +130,7 @@ func TestStreamPipelinedBudgetFallback(t *testing.T) {
 	}
 }
 
-func TestStreamPipelinedAutoShardBudget(t *testing.T) {
+func TestStreamSpeculateAutoShardBudget(t *testing.T) {
 	// Budget-derived shard sizing under speculation: the run must stay
 	// proper and any budget crossing must be reported, never silent — the
 	// combined footprint of the lanes is what the budget governs.
@@ -114,9 +155,9 @@ func TestStreamPipelinedAutoShardBudget(t *testing.T) {
 	}
 }
 
-func TestStreamPipelinedInjectedBuilderFallsBack(t *testing.T) {
+func TestStreamSpeculateInjectedBuilderFallsBack(t *testing.T) {
 	// An injected Builder is bound to one arena: speculation must quietly
-	// run the sequential loop instead of sharing the instance across lanes.
+	// run one-shard groups instead of sharing the instance across lanes.
 	o := graph.RandomOracle{N: 1500, P: 0.5, Seed: 3}
 	opts := Normal(7)
 	opts.ShardSize = 500
@@ -132,7 +173,7 @@ func TestStreamPipelinedInjectedBuilderFallsBack(t *testing.T) {
 	sameAsSequential(t, o, injected, seq)
 }
 
-func TestNextShardConcurrentAttribution(t *testing.T) {
+func TestNextShardLaneAttribution(t *testing.T) {
 	// With lanes in flight the run tracker's peak includes the neighbors'
 	// units, so sizing from it would systematically shrink shards.
 	// nextShard takes the unit's own bytes (its lane child's peak) for the

@@ -6,9 +6,12 @@
 // the fixed-color pass pruning any candidate a frozen neighbor already
 // holds. Under a memory budget the shard size is derived from a worst-case
 // estimate, then resized from the measured per-vertex footprint after every
-// shard — growing into unused headroom, halving after a crossing — so a run
-// degrades gracefully instead of OOMing. Between shards the engine is at a
-// serializable boundary: runs checkpoint, cancel, resume, and extend there.
+// shard group — growing into unused headroom, halving after a crossing — so
+// a run degrades gracefully instead of OOMing. streamRun sets a stream up
+// and hands it to the one shard loop (streamShards, speculate.go), which
+// runs groups of one shard by default and groups of S speculative shards
+// under Options.Speculate. Between groups the engine is at a serializable
+// boundary: runs checkpoint, cancel, resume, and extend there.
 package core
 
 import (
@@ -35,9 +38,10 @@ func defaultShardSize(n int) int {
 	return b
 }
 
-// streamRun is the shard loop behind every streamed schedule: Frozen
-// freezes a prefix coloring, Resume restores a checkpoint (checkSchedule
-// allows at most one). The result is a proper coloring of the whole oracle;
+// streamRun prepares every streamed schedule — Frozen freezes a prefix
+// coloring, Resume restores a checkpoint (checkSchedule allows at most
+// one) — picks the lane count and the first shard size, and hands the run
+// to the shard loop. The result is a proper coloring of the whole oracle;
 // it differs from the one-shot coloring (shards reuse palette windows
 // against the frozen frontier) but is proper by the same guarantees, and a
 // frozen prefix comes back bit-identical while the statistics cover only
@@ -93,8 +97,8 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options) (*Result, err
 	// The concurrency governor: how many shard units may hold iteration
 	// memory at once. Speculation needs S in-flight footprints; under a
 	// budget the lane count shrinks until the combined worst case fits the
-	// headroom, degrading all the way to the sequential loop rather than
-	// letting MemoryBudgetBytes go quietly dishonest.
+	// headroom, degrading all the way to one lane (one-shard groups) rather
+	// than letting MemoryBudgetBytes go quietly dishonest.
 	lanes := 1
 	if want := opts.streamLanes(); want > 1 {
 		lanes = want
@@ -118,45 +122,7 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options) (*Result, err
 		}
 	}
 	e.shard = shard
-	// With nothing left (a resume from the final boundary) the loop below
-	// runs no shard; the speculative schedule would open an empty one.
-	if lanes > 1 && e.nextStart < e.n {
-		return e.streamSpeculative(baseline, lanes)
-	}
-
-	for e.nextStart < e.n {
-		start := e.nextStart
-		end := start + e.shard
-		if end > e.n {
-			end = e.n
-		}
-		peakBefore := e.tr.Peak()
-		hadFrontier := e.fixedEnd > 0
-		e.initUnit(start, end)
-		if err := e.runUnit(); err != nil {
-			e.abort()
-			return nil, err
-		}
-		e.fixedEnd, e.nextStart = end, end
-		e.shardIdx++
-		e.res.Shards = e.shardIdx
-		if opts.Checkpoint != nil {
-			opts.Checkpoint(e.snapshot())
-		}
-		// Resize only auto-derived shards: an explicit ShardSize is a
-		// contract (equivalence tests, benchmarks sweep it), so a budget
-		// crossing is reported, not silently repaired.
-		if opts.ShardSize == 0 {
-			peak := e.tr.Peak()
-			var used int64
-			if peak > peakBefore {
-				used = max(peak-baseline, 1)
-			}
-			e.shard = nextShard(e.shard, end-start, used,
-				opts.MemoryBudgetBytes, baseline, peak, peakBefore, hadFrontier, 1)
-		}
-	}
-	return e.finish(), nil
+	return e.streamShards(baseline, lanes)
 }
 
 // shardFootprint estimates the tracked bytes one streamed iteration holds
@@ -184,8 +150,8 @@ func shardFootprint(opts *Options, o graph.Oracle, n, B int) int64 {
 
 // autoShard derives the initial shard size from the budget headroom: the
 // largest B in [minShard, remaining] whose worst-case footprint fits lanes
-// concurrent copies of (lanes is 1 for the sequential loop, S for
-// speculation — each in-flight unit holds a full iteration footprint).
+// concurrent copies of (lanes is 1 for one-shard groups, S for speculation
+// — each in-flight unit holds a full iteration footprint).
 // Without a budget it falls back to the knob-free default. When even the
 // minimum shard does not fit, it returns minShard
 // anyway — the run degrades (and reports BudgetExceeded) instead of
@@ -218,15 +184,15 @@ func autoShard(opts *Options, o graph.Oracle, n, remaining int, baseline int64, 
 }
 
 // nextShard resizes an auto-derived shard after each completed group of
-// lanes units (1 for the sequential loop): halve after a budget crossing
+// lanes units (1 for a one-shard group): halve after a budget crossing
 // (graceful degradation), otherwise retarget from the measured per-vertex
 // cost. peak is the run tracker's peak and peakBefore its peak when the
 // group started: the budget is a promise about the lanes combined, and
 // only a *new* peak above it means this group crossed it (the lifetime
 // peak is monotone, so an old crossing must not keep halving shards that
 // behaved). used is the finished unit's own bytes — a lane child
-// tracker's peak, never inflated by a neighbor in flight, or for the
-// sequential loop the run's peak above baseline when the shard set a new
+// tracker's peak, never inflated by a neighbor in flight, or for a
+// one-shard group the run's peak above baseline when the shard set a new
 // one. Zero means no fresh per-vertex evidence (the shard stayed below an
 // older peak, or there is no tracker), and the proven size stands. The
 // retarget keeps 30% headroom split across the lanes, inflates

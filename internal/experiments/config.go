@@ -1,10 +1,10 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation (§VII) plus the §VI ML study and the ablations called
-// out in DESIGN.md. Every driver returns structured rows (consumed by tests
+// paper's evaluation (§VII) plus the §VI ML study and three ablations
+// (ablation.go). Each returns structured rows (consumed by tests
 // and benchmarks) and can render itself as an aligned text table. Absolute
 // numbers are machine- and scale-dependent; the drivers exist to reproduce
 // the *shape* of each result — who wins, by what ratio, where crossovers
-// fall — and EXPERIMENTS.md records measured-vs-paper values.
+// fall.
 package experiments
 
 import (

@@ -6,7 +6,8 @@
 // logic — worst-case edge-list sizing, the CSR-on-device vs CSR-on-host
 // decision, 4- vs 8-byte offset counters — runs unchanged against the
 // simulated budget, so OOM behavior and crossover points are reproduced
-// even though wall-clock speed is the host CPU's (see DESIGN.md §2).
+// even though wall-clock speed is the host CPU's (ARCHITECTURE.md's
+// conflict-construction section describes the device path).
 package gpusim
 
 import (

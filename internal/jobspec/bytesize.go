@@ -100,7 +100,7 @@ func ParseBytes(s string) (int64, error) {
 // exactly — binary units first (so 512 MiB round-trips as "512MiB"), then
 // decimal, then bare bytes. Negative values render as the sign-prefixed
 // rendering of their magnitude ("-1KiB"), deterministically, so callers can
-// feed it signed quantities such as memtrack.Headroom() when over budget.
+// feed it signed quantities such as a budget's headroom once it is crossed.
 // ParseBytes(FormatBytes(n)) == n for every int64.
 func FormatBytes(n int64) string {
 	if n < 0 {

@@ -128,7 +128,7 @@ func TestFormatBytes(t *testing.T) {
 		{3 << 40, "3TiB"},
 		{1234567, "1234567B"},
 		// Negative values: deterministic sign-prefixed magnitude rendering,
-		// the same unit the magnitude would pick (Headroom() over budget).
+		// the same unit the magnitude would pick (a crossed budget's headroom).
 		{-1, "-1B"},
 		{-1024, "-1KiB"},
 		{-1000, "-1KB"},

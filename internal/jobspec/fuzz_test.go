@@ -10,7 +10,7 @@ import (
 // FuzzParseBytesRoundTrip asserts the canonicalization contract the spec
 // normalizer and every budget-rendering caller rely on:
 // ParseBytes(FormatBytes(n)) == n for arbitrary int64, including negatives
-// (Headroom rendering) and the ±2^63 boundary.
+// (a crossed budget's headroom) and the ±2^63 boundary.
 func FuzzParseBytesRoundTrip(f *testing.F) {
 	for _, n := range []int64{
 		0, 1, -1, 512, 1000, 1023, 1024, -1024, 1 << 20, 3 << 29,

@@ -10,14 +10,14 @@
 //
 // Beyond metering, a Tracker doubles as the engine's budget governor.
 // SetBudget arms a byte ceiling; every Alloc that pushes the running sum
-// across it is counted as a crossing and fires the notify callback once per
-// crossing (an edge detector, not a level alarm). Allocations are never
-// failed by the tracker itself — enforcement is the observer's policy: the
-// streaming engine derives its shard size from the budget and shrinks it on
-// a crossing, one-shot runs merely report BudgetExceeded in their result,
-// and tests assert the recorded peak stayed under the ceiling. The
-// invariant the governor guarantees is narrower and stronger than "never
-// exceed": a crossing can never pass unrecorded.
+// across it is counted as one crossing (an edge detector, not a level
+// alarm), and OverBudget reports whether the peak ever passed it.
+// Allocations are never failed by the tracker itself — enforcement is the
+// caller's policy: the streaming engine derives its shard size from the
+// budget and shrinks it on a crossing, one-shot runs merely report
+// BudgetExceeded in their result, and tests assert the recorded peak stayed
+// under the ceiling. The invariant the governor guarantees is narrower and
+// stronger than "never exceed": a crossing can never pass unrecorded.
 //
 // For concurrent work, Child builds a forwarding hierarchy: a child tracker
 // meters one unit of work (a speculative stream lane, a portfolio entrant)
@@ -41,19 +41,16 @@ import "sync"
 //
 // A Tracker can also act as a governor rather than a mere meter: SetBudget
 // arms a byte budget, and every allocation that pushes the running sum past
-// it counts as an exceedance and (once per crossing) fires the notify
-// callback. Instrumented code does not fail allocations — enforcement is the
-// caller's policy (the streaming engine shrinks its shard size; tests assert
-// the peak stayed under budget) — but the crossing is always recorded, so a
-// budget violation can never pass silently.
+// it counts as an exceedance. Instrumented code does not fail allocations —
+// enforcement is the caller's policy — but the crossing is always recorded,
+// so a budget violation can never pass silently.
 type Tracker struct {
 	mu      sync.Mutex
 	current int64
 	peak    int64
 	budget  int64
-	over    bool // currently above budget (edge detector for notify)
+	over    bool // currently above budget (the crossing edge detector)
 	crossed int64
-	notify  func(current, budget int64)
 	// parent, when non-nil, receives a copy of every Alloc/Free (see Child):
 	// this tracker then meters one unit of work exactly while the shared
 	// root keeps the combined, budget-bearing view.
@@ -65,8 +62,8 @@ type Tracker struct {
 // stream lanes: each lane meters its own footprint exactly (its peak is the
 // lane's bytes alone, never inflated by a neighbor in flight) while the
 // parent's peak and budget verdict cover all in-flight lanes combined.
-// Reset and ResetPeak on the child never touch the parent; budgets are
-// armed on the parent, not on children. Child of a nil tracker is nil (the
+// ResetPeak on the child never touches the parent; budgets are armed on
+// the parent, not on children. Child of a nil tracker is nil (the
 // usual no-op sink).
 func (t *Tracker) Child() *Tracker {
 	if t == nil {
@@ -85,21 +82,15 @@ func (t *Tracker) Alloc(n int64) {
 	if t.current > t.peak {
 		t.peak = t.current
 	}
-	var fire func(current, budget int64)
-	var cur, bud int64
 	if t.budget > 0 {
 		if t.current > t.budget && !t.over {
 			t.over = true
 			t.crossed++
-			fire, cur, bud = t.notify, t.current, t.budget
 		} else if t.current <= t.budget {
 			t.over = false
 		}
 	}
 	t.mu.Unlock()
-	if fire != nil {
-		fire(cur, bud)
-	}
 	// Forward outside the lock: parent and child order their own updates
 	// independently, so two children never deadlock on a shared root.
 	t.parent.Alloc(n)
@@ -139,21 +130,6 @@ func (t *Tracker) Peak() int64 {
 	return t.peak
 }
 
-// Reset zeroes the byte counters and the budget-crossing state. The budget
-// itself and the notify callback survive a Reset: they are configuration,
-// not accumulated state.
-func (t *Tracker) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.current = 0
-	t.peak = 0
-	t.over = false
-	t.crossed = 0
-	t.mu.Unlock()
-}
-
 // ResetPeak lowers the high-water mark to the current live byte count
 // without touching the running sum: the start-of-run baseline for a
 // tracker that outlives one run. Peaks (and budget verdicts, which compare
@@ -170,8 +146,8 @@ func (t *Tracker) ResetPeak() {
 }
 
 // SetBudget arms (or, with 0, disarms) a byte budget. Allocations are never
-// refused; crossing the budget is recorded (see Exceedances) and reported
-// through the OnBudget callback once per crossing.
+// refused; crossing the budget is recorded (see Exceedances and
+// OverBudget).
 func (t *Tracker) SetBudget(n int64) {
 	if t == nil {
 		return
@@ -181,28 +157,6 @@ func (t *Tracker) SetBudget(n int64) {
 	if n <= 0 || t.current <= n {
 		t.over = false
 	}
-	t.mu.Unlock()
-}
-
-// Budget returns the armed budget (0 = none).
-func (t *Tracker) Budget() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.budget
-}
-
-// OnBudget installs f as the budget-crossing observer: it is called once
-// each time the live byte count rises from at-or-under to over the armed
-// budget, outside the tracker lock (f may call tracker methods).
-func (t *Tracker) OnBudget(f func(current, budget int64)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.notify = f
 	t.mu.Unlock()
 }
 
@@ -218,7 +172,7 @@ func (t *Tracker) OverBudget() bool {
 	return t.budget > 0 && t.peak > t.budget
 }
 
-// Exceedances counts upward budget crossings since the last Reset.
+// Exceedances counts upward budget crossings over the tracker's life.
 func (t *Tracker) Exceedances() int64 {
 	if t == nil {
 		return 0
@@ -228,20 +182,6 @@ func (t *Tracker) Exceedances() int64 {
 	return t.crossed
 }
 
-// Headroom returns budget − current, the bytes still available under the
-// armed budget (negative when over); 0 when no budget is armed.
-func (t *Tracker) Headroom() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.budget <= 0 {
-		return 0
-	}
-	return t.budget - t.current
-}
-
 // Scoped records an allocation and returns the matching release closure:
 //
 //	defer tr.Scoped(bytes)()
@@ -249,6 +189,3 @@ func (t *Tracker) Scoped(n int64) func() {
 	t.Alloc(n)
 	return func() { t.Free(n) }
 }
-
-// GB converts bytes to gigabytes (10^9, as in the paper's tables).
-func GB(bytes int64) float64 { return float64(bytes) / 1e9 }

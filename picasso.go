@@ -126,8 +126,7 @@ type (
 	// a streamed run as Options.Resume.
 	RunState = core.RunState
 	// RefineOptions shapes a palette-refinement pass (rounds, target color
-	// count, stall detection, per-round moved-set cap, wall-clock cap, the
-	// pass's own memory budget).
+	// count, the pass's own memory budget).
 	RefineOptions = core.RefineOptions
 	// RefineStats is the outcome of a refinement pass: the refined coloring
 	// plus per-round and aggregate work records.
