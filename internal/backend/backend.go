@@ -79,8 +79,8 @@ func (p perPairBatch) HasRow(i int, js []int32, out []bool) {
 type DeviceSizer interface{ DeviceBytes() int64 }
 
 // Lists is the candidate-color-list view the kernel consumes: each of the
-// Len() vertices owns a sorted list of ListSize() distinct colors drawn from
-// the palette [0, Palette()).
+// Len() vertices owns a sorted list of at most ListSize() distinct colors
+// drawn from the palette [0, Palette()).
 type Lists interface {
 	Len() int
 	ListSize() int
@@ -106,7 +106,8 @@ type Stats struct {
 	// OnDevice reports that the CSR was generated within the device budget
 	// (Algorithm 3's branch); false for host builds and host fallbacks.
 	OnDevice bool
-	// DevicePeakBytes is the device-memory peak during construction.
+	// DevicePeakBytes is the device memory the build itself held at its
+	// peak; a concurrent build on the same device adds nothing to it.
 	DevicePeakBytes int64
 	// HostBytes is the long-lived host allocation charged to the tracker
 	// (the conflict CSR when it lives on the host); the caller frees it.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"picasso/internal/gpusim"
@@ -361,6 +362,76 @@ func TestDeviceOOMPropagates(t *testing.T) {
 			return b
 		}
 		requireSameAsFresh(t, fmt.Sprintf("after the %d-byte OOM", tc.capacity), roomy(NewArena()), roomy(arena), o, lists)
+	}
+}
+
+// TestConcurrentDeviceBuildsReportOwnPeak holds a gpu build's
+// DevicePeakBytes to its own allocations. Alone on a fresh device a build
+// reports the device's peak. Two builds of different shapes sharing a
+// device large enough that neither the edge-list clamp nor CSR placement
+// depends on the other then report, round after round of concurrent
+// builds, exactly what each reports alone.
+func TestConcurrentDeviceBuildsReportOwnPeak(t *testing.T) {
+	type input struct {
+		o     EdgeOracle
+		lists Lists
+		alone int64
+	}
+	var inputs []input
+	for k, sh := range []struct{ n, P, L int }{{1500, 60, 6}, {900, 30, 5}} {
+		in := input{
+			o:     testOracle{graph.RandomOracle{N: sh.n, P: 0.5, Seed: uint64(k) + 1}},
+			lists: newTestLists(sh.n, sh.P, sh.L, int64(k)+5),
+		}
+		dev := gpusim.NewDevice("alone", 1<<40, 2)
+		b, err := New("gpu", Config{Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := b.Build(context.Background(), in.o, in.lists, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.OnDevice || st.DevicePeakBytes != dev.Peak() {
+			t.Fatalf("shape %d alone: on device %v, peak %d, device peak %d", k, st.OnDevice, st.DevicePeakBytes, dev.Peak())
+		}
+		in.alone = st.DevicePeakBytes
+		inputs = append(inputs, in)
+	}
+	shared := gpusim.NewDevice("shared", 1<<40, 2)
+	builders := make([]ConflictBuilder, len(inputs))
+	for k := range builders {
+		b, err := New("gpu", Config{Device: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		builders[k] = b
+	}
+	peaks := make([]int64, len(inputs))
+	errs := make([]error, len(inputs))
+	for round := 0; round < 8; round++ {
+		var wg sync.WaitGroup
+		for k, in := range inputs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var st Stats
+				_, st, errs[k] = builders[k].Build(context.Background(), in.o, in.lists, nil)
+				peaks[k] = st.DevicePeakBytes
+			}()
+		}
+		wg.Wait()
+		for k, in := range inputs {
+			if errs[k] != nil {
+				t.Fatal(errs[k])
+			}
+			if peaks[k] != in.alone {
+				t.Fatalf("round %d: shape %d reported device peak %d beside a concurrent build, %d alone", round, k, peaks[k], in.alone)
+			}
+		}
+	}
+	if shared.Used() != 0 {
+		t.Fatalf("%d device bytes left allocated", shared.Used())
 	}
 }
 

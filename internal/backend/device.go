@@ -34,7 +34,7 @@ func (g gpuBuilder) Build(ctx context.Context, o EdgeOracle, lists Lists, tr *me
 	}
 	st := Stats{
 		OnDevice:        scan.onDevice,
-		DevicePeakBytes: g.dev.Peak(),
+		DevicePeakBytes: scan.peak,
 		PairsTested:     scan.calls,
 	}
 	gc, err := a.lanesToCSR(scan.lanes, scan.edges)
@@ -55,6 +55,7 @@ type scanResult struct {
 	edges    int64       // |Ec|
 	calls    int64       // oracle consultations
 	onDevice bool        // CSR fit the spare budget
+	peak     int64       // the scan's own device bytes, all live until it returns
 }
 
 // deviceScan runs the Algorithm 3 memory discipline and the bucket kernel
@@ -85,10 +86,11 @@ type scanResult struct {
 // outside the budget model, like the dense kernel's registers were.
 // Cancellation (ctx) is checked before the kernel launch and between worker
 // chunks: a cancelled scan returns ctx.Err() with every device allocation
-// released.
+// released. The scan reports as its peak the sum of its own allocations,
+// which all stay live until it returns, so builds sharing the device —
+// speculative lanes, portfolio racers — never read each other's bytes.
 func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lists, bk *Buckets, a *Arena) (scanResult, error) {
 	m := o.Len()
-	dev.ResetPeak()
 
 	// Preprocessing: vertex data, color lists and the bucket index move to
 	// the device.
@@ -122,7 +124,7 @@ func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lis
 	}
 	workers = max(min(workers, m), 1)
 	a.reserveLanes(workers)
-	res := scanResult{lanes: a.emptyLanes(workers, m)}
+	res := scanResult{lanes: a.emptyLanes(workers, m), peak: input.Bytes + counters.Bytes}
 
 	// Worst-case edge list: m(m−1)/2 pairs × 8 bytes (two int32), clamped
 	// to the remaining budget.
@@ -143,6 +145,7 @@ func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lis
 		return scanResult{}, fmt.Errorf("device edge-list allocation: %w", err)
 	}
 	defer edgeBuf.Free()
+	res.peak += edgeBuf.Bytes
 
 	// Kernel: contiguous row ranges per worker ("SM") with private scratch.
 	// Each row is one batched oracle call; its hits reserve a contiguous run
@@ -193,6 +196,7 @@ func deviceScan(ctx context.Context, dev *gpusim.Device, o EdgeOracle, lists Lis
 	if csrBytes <= dev.Free() {
 		if b, err := dev.Alloc(csrBytes); err == nil {
 			res.onDevice = true
+			res.peak += b.Bytes
 			defer b.Free()
 		}
 	}

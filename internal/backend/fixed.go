@@ -16,8 +16,8 @@ import (
 // bucket, so unlike the candidate-list index no pair deduplication is ever
 // needed — and every active row tests, per candidate color, only that
 // color's bucket through one batched cross-adjacency call. The pass writes a
-// per-list-slot forbidden mask the conflict-coloring stage consumes; it
-// never materializes cross-shard edges.
+// per-list-slot forbidden mask, from which the engine strikes the marked
+// colors out of the lists; it never materializes cross-shard edges.
 
 // CrossOracle answers adjacency between an active (iteration-local) row and
 // fixed frontier vertices. The fixed ids are the opaque int32 ids the caller

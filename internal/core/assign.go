@@ -9,34 +9,61 @@ import (
 )
 
 // colorLists holds the per-vertex candidate color lists of one iteration in
-// flat storage: vertex i owns lists[i*L : (i+1)*L], sorted ascending.
-// Colors are palette-local (in [0, P)); the iteration's base offset is added
-// only when a color is finalized, implementing the paper's fresh-palette
-// rule (palette of iteration ℓ is {(ℓ−1)P, …, ℓP−1}). It implements
-// backend.Lists, the view the conflict-construction kernel consumes; the
-// kernel's bucket index supersedes the per-pair intersection test this
-// struct used to carry, so the lists are pure storage.
+// flat storage: vertex i owns the L-wide slot flat[i*L : (i+1)*L], its list
+// sorted ascending at the head of it. Colors are palette-local (in [0, P));
+// the iteration's base offset is added only when a color is finalized,
+// implementing the paper's fresh-palette rule (palette of iteration ℓ is
+// {(ℓ−1)P, …, ℓP−1}). It implements backend.Lists, the view the
+// conflict-construction kernel consumes; the kernel's bucket index
+// supersedes the per-pair intersection test this struct used to carry, so
+// the lists are pure storage. A list holds all L colors until prune strikes
+// some; live then holds every list's length.
 type colorLists struct {
 	n, P, L int
 	flat    []int32
+	live    []int32 // per-vertex list length after prune; empty = every list is whole
 }
 
-// Bytes returns the memory footprint of the list storage: the live entries,
-// not the (possibly arena-pooled) capacity — this is the figure device
-// builds ship and trackers charge.
+// Bytes returns the memory footprint of the list storage: the L-wide slots,
+// not the (possibly arena-pooled) capacity, and not shrunk by prune — this
+// is the figure device builds ship and trackers charge.
 func (cl *colorLists) Bytes() int64 {
 	return int64(len(cl.flat)) * 4
 }
 
 // list returns vertex i's sorted candidate colors.
 func (cl *colorLists) list(i int) []int32 {
-	return cl.flat[i*cl.L : (i+1)*cl.L]
+	lo := i * cl.L
+	if len(cl.live) == 0 {
+		return cl.flat[lo : lo+cl.L]
+	}
+	return cl.flat[lo : lo+int(cl.live[i])]
+}
+
+// prune strikes every slot the fixed-color pass marked (mask[i*L+k] for
+// slot k of vertex i's whole list): each list keeps its unmarked colors, in
+// order, at the head of its slot, so it stays ascending, and list returns
+// only them. A list struck to nothing is empty. The slot storage, ListSize
+// and Bytes do not change.
+func (cl *colorLists) prune(mask []bool) {
+	cl.live = grow.Slice(cl.live, cl.n)
+	for i := 0; i < cl.n; i++ {
+		lo := i * cl.L
+		k := lo
+		for s, c := range cl.flat[lo : lo+cl.L] {
+			if !mask[lo+s] {
+				cl.flat[k] = c
+				k++
+			}
+		}
+		cl.live[i] = int32(k - lo)
+	}
 }
 
 // Len returns the vertex count (backend.Lists).
 func (cl *colorLists) Len() int { return cl.n }
 
-// ListSize returns L (backend.Lists).
+// ListSize returns L, the most colors a list holds (backend.Lists).
 func (cl *colorLists) ListSize() int { return cl.L }
 
 // Palette returns P (backend.Lists).
@@ -59,6 +86,7 @@ func assignRandomLists(n, P, L int, rng *rand.Rand, ar *Arena) *colorLists {
 	cl := &ar.cl
 	cl.n, cl.P, cl.L = n, P, L
 	cl.flat = grow.Slice(cl.flat, n*L)
+	cl.live = cl.live[:0]
 	chosen := &ar.stamps
 	for i := 0; i < n; i++ {
 		lst := cl.list(i)

@@ -256,11 +256,21 @@ func (e *engine) iterate() error {
 	}
 
 	// Stage 2 — build: the conflict subgraph via the configured backend
-	// (line 7), then — streamed units only — the fixed-color pass pruning
-	// candidates against the frozen frontier. The iteration-local view is a
-	// zero-cost identity/range view on first iterations and a compacted
-	// sub-view (charged while it lives) afterwards.
+	// (line 7) and, in streamed units, the fixed-color pass (strike). A
+	// recolor unit strikes first, so its builder sees only colors a vertex
+	// can still take; a shard strikes after its build, so nextShard sizes
+	// the next shard from the unpruned graph's peak. The iteration-local
+	// view is a zero-cost identity/range view on first iterations and a
+	// compacted sub-view (charged while it lives) afterwards.
 	t1 := time.Now()
+	recolor := e.refineCeil > 0 // refine and repair units: the frontier is never empty
+	if recolor {
+		var err error
+		if st.FixedPairsTested, err = e.strike(cl); err != nil {
+			listRelease()
+			return err
+		}
+	}
 	eo := e.edgeView()
 	subRelease := e.tr.Scoped(subViewBytes(eo))
 	conf, bst, err := e.builder.Build(e.ctx, eo, cl, e.tr)
@@ -270,28 +280,13 @@ func (e *engine) iterate() error {
 		return fmt.Errorf("core: iteration %d: %w", e.iter, err)
 	}
 	// release drops the charges the iteration holds until its color stage
-	// is done: the forbidden mask (once armed), the lists and the builder's
-	// host bytes.
-	var forbidden []bool
-	maskRelease := func() {}
+	// is done: the lists and the builder's host bytes.
 	release := func() {
-		maskRelease()
 		listRelease()
 		e.tr.Free(bst.HostBytes)
 	}
-	if e.streamed && e.fixedEnd > 0 {
-		forbidden = e.ar.forbidBuf(m * L)
-		maskRelease = e.tr.Scoped(int64(m * L))
-		// The frontier is chunked by the unit range — by the moved set for a
-		// recolor unit, which spans [0, n) while its live memory must follow
-		// the active vertices.
-		chunk := e.end - e.start
-		if e.refineCeil > 0 {
-			chunk = m
-		}
-		var err error
-		st.FixedPairsTested, err = e.scanFrontier(newCrossOracle(e.o, e.active, 0), cl, 0, e.fixedEnd, chunk, e.base, forbidden)
-		if err != nil {
+	if !recolor && e.streamed && e.fixedEnd > 0 {
+		if st.FixedPairsTested, err = e.strike(cl); err != nil {
 			release()
 			return err
 		}
@@ -307,7 +302,7 @@ func (e *engine) iterate() error {
 	}
 
 	// Stage 3 — color: unconflicted vertices directly, then the conflict
-	// graph (lines 8–9), both honoring the forbidden mask.
+	// graph (lines 8–9), both from the struck lists.
 	t2 := time.Now()
 	conflicted := e.ar.conflictedBuf()
 	direct := e.ar.directFailedBuf()
@@ -317,54 +312,17 @@ func (e *engine) iterate() error {
 			continue
 		}
 		lst := cl.list(i)
-		if forbidden == nil {
-			if e.bal != nil {
-				c := e.base + lst[e.bal.pickSlot(lst, e.base, nil, 0, e.rng)]
-				e.bal.note(c)
-				e.setColor(int(e.active[i]), c)
-			} else {
-				e.setColor(int(e.active[i]), e.base+lst[e.rng.Intn(len(lst))])
-			}
-			st.Unconflicted++
-			continue
-		}
-		if e.bal != nil {
-			// Equitable: among the allowed slots, take the one whose class
-			// is currently smallest instead of sampling uniformly.
-			k := e.bal.pickSlot(lst, e.base, forbidden, i*L, e.rng)
-			if k < 0 {
-				direct = append(direct, int32(i))
-				continue
-			}
-			c := e.base + lst[k]
-			e.bal.note(c)
-			e.setColor(int(e.active[i]), c)
-			st.Unconflicted++
-			continue
-		}
-		// Streamed: sample uniformly among the slots the fixed-color pass
-		// left allowed; a fully pruned vertex fails to the next iteration.
-		allowed := 0
-		for k := range lst {
-			if !forbidden[i*L+k] {
-				allowed++
-			}
-		}
-		if allowed == 0 {
+		k := pickDirect(lst, e.bal, e.base, e.rng)
+		if k < 0 {
+			// Struck to nothing: the vertex fails to the next iteration.
 			direct = append(direct, int32(i))
 			continue
 		}
-		pick := e.rng.Intn(allowed)
-		for k, c := range lst {
-			if forbidden[i*L+k] {
-				continue
-			}
-			if pick == 0 {
-				e.setColor(int(e.active[i]), e.base+c)
-				break
-			}
-			pick--
+		c := e.base + lst[k]
+		if e.bal != nil {
+			e.bal.note(c)
 		}
+		e.setColor(int(e.active[i]), c)
 		st.Unconflicted++
 	}
 	e.ar.retainConflicted(conflicted)
@@ -372,9 +330,9 @@ func (e *engine) iterate() error {
 
 	var lc *listColorResult
 	if e.opts.Strategy == DynamicBuckets {
-		lc = colorConflictDynamic(conf.G, cl, conflicted, forbidden, e.bal, e.base, e.rng, e.ar)
+		lc = colorConflictDynamic(conf.G, cl, conflicted, e.bal, e.base, e.rng, e.ar)
 	} else {
-		lc = colorConflictStatic(conf.G, cl, conflicted, forbidden, e.opts.Strategy, e.bal, e.base, e.rng, e.ar)
+		lc = colorConflictStatic(conf.G, cl, conflicted, e.opts.Strategy, e.bal, e.base, e.rng, e.ar)
 	}
 	for _, v := range conflicted {
 		if c := lc.assign[v]; c != -1 {
@@ -413,6 +371,40 @@ func (e *engine) iterate() error {
 	// — a per-iteration copy would put O(n) garbage on the steady-state
 	// path for observability Progress already provides.
 	return nil
+}
+
+// pickDirect returns the slot of lst an unconflicted vertex takes: the
+// equitable bias's smallest class when bal is set, else uniform. Returns -1
+// when the fixed-color pass struck the whole list.
+func pickDirect(lst []int32, bal *classBalance, base int32, rng *rand.Rand) int {
+	switch {
+	case bal != nil:
+		return bal.pickSlot(lst, base, rng)
+	case len(lst) == 0:
+		return -1
+	}
+	return rng.Intn(len(lst))
+}
+
+// strike is the fixed-color pass: it marks every list slot whose color an
+// adjacent vertex of the frozen frontier [0, fixedEnd) holds, then prunes
+// the marked slots from the lists. The mask is charged only while the pass
+// runs. The frontier is chunked by the unit range — by the moved set for a
+// recolor unit, which spans [0, n) while its live memory must follow the
+// active vertices. Returns the cross adjacency tests spent.
+func (e *engine) strike(cl *colorLists) (int64, error) {
+	m := len(e.active)
+	mask := e.ar.forbidBuf(m * cl.L)
+	defer e.tr.Scoped(int64(m * cl.L))()
+	chunk := e.end - e.start
+	if e.refineCeil > 0 {
+		chunk = m
+	}
+	tested, err := e.scanFrontier(newCrossOracle(e.o, e.active, 0), cl, 0, e.fixedEnd, chunk, e.base, mask)
+	if err == nil {
+		cl.prune(mask)
+	}
+	return tested, err
 }
 
 // record folds one iteration into the Result's totals and appends it to

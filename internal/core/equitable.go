@@ -1,7 +1,7 @@
 // The equitable coloring variant: same palette machinery, two additions.
 // While coloring, every candidate pick is biased toward the feasible color
-// whose class is currently smallest (classBalance, consulted at all four
-// pick sites — the direct picks in iterate and both conflict-graph
+// whose class is currently smallest (classBalance, consulted at all three
+// pick sites — pickDirect for unconflicted vertices and both conflict-graph
 // colorers), so classes grow in lockstep instead of first-come-first-fat.
 // After the run, balanceColors merges classes with no cross edges and moves
 // vertices from the largest classes into the smallest until the sizes are
@@ -63,16 +63,12 @@ func (cb *classBalance) note(c int32) {
 }
 
 // pickSlot returns the index into lst of the candidate whose global class
-// (base + color) is currently smallest, skipping slots the forbidden mask
-// (when non-nil, at offset off) rules out; ties break uniformly at random.
-// Returns -1 when every slot is forbidden.
-func (cb *classBalance) pickSlot(lst []int32, base int32, forbidden []bool, off int, rng *rand.Rand) int {
+// (base + color) is currently smallest; ties break uniformly at random.
+// Returns -1 when lst is empty (the fixed-color pass struck every slot).
+func (cb *classBalance) pickSlot(lst []int32, base int32, rng *rand.Rand) int {
 	pick, ties := -1, 0
 	var best int32
 	for k, c := range lst {
-		if forbidden != nil && forbidden[off+k] {
-			continue
-		}
 		cnt := cb.count(base + c)
 		switch {
 		case pick == -1 || cnt < best:

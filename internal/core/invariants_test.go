@@ -306,6 +306,23 @@ func TestRefineProperMonotoneEveryBackend(t *testing.T) {
 	invariants(t, (*invHarness).check, "refine")
 }
 
+// TestRefineEliminatesClasses holds refinement to making progress, which
+// no single seed promises: 4 rounds on the sequential backend, from each
+// seed's one-shot coloring, must eliminate at least 36 classes per harness
+// input over seeds 1–20.
+func TestRefineEliminatesClasses(t *testing.T) {
+	for in, input := range invInputs {
+		h := &invHarness{runs: map[invCase]*invRun{}}
+		eliminated := 0
+		for seed := int64(1); seed <= 20; seed++ {
+			eliminated += h.run(t, invCase{in, invSequential, "refine", seed}).res.Refine.ClassesEliminated
+		}
+		if eliminated < 36 {
+			t.Errorf("%s: refinement eliminated %d classes over seeds 1–20, want at least 36", input.name, eliminated)
+		}
+	}
+}
+
 func TestStreamCheckpointResumeDeterminism(t *testing.T) {
 	invariants(t, (*invHarness).checkResume, "stream")
 }
@@ -581,7 +598,7 @@ func (h *invHarness) checkSchedule(t *testing.T, c invCase, r *invRun) {
 			t.Errorf("colors %d -> %d, input has %d and output %d",
 				st.ColorsBefore, st.ColorsAfter, base.NumColors(), res.Colors.NumColors())
 		}
-		if st.ClassesEliminated != st.ColorsBefore-st.ColorsAfter || st.ClassesEliminated <= 0 {
+		if st.ClassesEliminated != st.ColorsBefore-st.ColorsAfter || st.ClassesEliminated < 0 {
 			t.Errorf("eliminated %d classes going %d -> %d", st.ClassesEliminated, st.ColorsBefore, st.ColorsAfter)
 		}
 		var pairs, fixed int64

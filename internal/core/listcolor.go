@@ -33,15 +33,14 @@ type mutableLists struct {
 	sig   []uint64 // per conflict-graph vertex id: live-list signature, 0 = can hold no color
 }
 
-// newMutableLists copies the conflicted vertices' candidate lists into the
-// arena's slab, skipping the slots a streamed run's fixed-color pass marked
-// forbidden (nil = keep everything, the one-shot path), and writes each
-// one's signature from the copied live list. slot/count/sig entries of
-// unconflicted vertices are left untouched (garbage): only conflict
-// vertices are ever looked up. A vertex whose whole list was forbidden ends
-// up with count 0 and signature 0 — the callers route it straight to the
+// newMutableLists copies the conflicted vertices' candidate lists — what
+// the fixed-color pass left of them in a streamed run — into the arena's
+// slab, and writes each one's signature from the copied list. slot/count/sig
+// entries of unconflicted vertices are left untouched (garbage): only
+// conflict vertices are ever looked up. A vertex whose whole list was
+// struck has count 0 and signature 0 — the callers route it straight to the
 // failed set.
-func newMutableLists(cl *colorLists, conflicted []int32, forbidden []bool, ar *Arena) *mutableLists {
+func newMutableLists(cl *colorLists, conflicted []int32, ar *Arena) *mutableLists {
 	ml := &ar.ml
 	ml.L = cl.L
 	ml.slab = grow.Slice(ml.slab, len(conflicted)*cl.L)
@@ -50,18 +49,7 @@ func newMutableLists(cl *colorLists, conflicted []int32, forbidden []bool, ar *A
 	ml.sig = grow.Slice(ml.sig, cl.n)
 	for slot, v := range conflicted {
 		off := slot * cl.L
-		live := cl.L
-		if forbidden == nil {
-			copy(ml.slab[off:off+cl.L], cl.list(int(v)))
-		} else {
-			live = 0
-			for k, c := range cl.list(int(v)) {
-				if !forbidden[int(v)*cl.L+k] {
-					ml.slab[off+live] = c
-					live++
-				}
-			}
-		}
+		live := copy(ml.slab[off:off+cl.L], cl.list(int(v)))
 		ml.slot[v] = int32(slot)
 		ml.count[v] = int32(live)
 		ml.sig[v] = signature(ml.slab[off : off+live])
@@ -112,10 +100,11 @@ func (ml *mutableLists) remove(v int32, c int32) bool {
 // neighbor whose live-list signature lacks the picked color's bit (every
 // colored or failed one, and every uncolored one holding no color congruent
 // to it modulo 64) costs one word test instead of a list scan. In streamed
-// runs the forbidden mask pre-strikes colors held by adjacent fixed-frontier
-// vertices; a vertex left with nothing fails immediately.
-func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, forbidden []bool, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
-	ml := newMutableLists(cl, conflicted, forbidden, ar)
+// runs the fixed-color pass has already struck from the lists every color
+// an adjacent frozen vertex holds; a vertex left with nothing fails
+// immediately.
+func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
+	ml := newMutableLists(cl, conflicted, ar)
 	assign := ar.assignBuf(cl.n)
 	b := ar.bucketArray(cl.n, cl.L)
 	res := ar.result(assign)
@@ -133,7 +122,7 @@ func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, for
 		if bal != nil {
 			// Equitable: the live list holds only still-feasible colors, so
 			// the bias just picks the one with the smallest class.
-			c = lst[bal.pickSlot(lst, base, nil, 0, rng)]
+			c = lst[bal.pickSlot(lst, base, rng)]
 			bal.note(base + c)
 		} else {
 			c = lst[rng.Intn(len(lst))]
@@ -163,11 +152,11 @@ func colorConflictDynamic(gc *graph.CSR, cl *colorLists, conflicted []int32, for
 
 // colorConflictStatic colors the conflict vertices in a fixed order (the
 // paper's "static order schemes", §IV-B): each vertex takes the first color
-// of its list not already held by a colored conflict neighbor (nor, in
-// streamed runs, forbidden by the fixed-color pass). The taken-color set is
-// the arena's palette stamp set — one epoch bump per vertex instead of
+// of its list (what the fixed-color pass left of it, in streamed runs) not
+// already held by a colored conflict neighbor. The taken-color set is the
+// arena's palette stamp set — one epoch bump per vertex instead of
 // rebuilding a map on the hot path.
-func colorConflictStatic(gc *graph.CSR, cl *colorLists, conflicted []int32, forbidden []bool, strategy ListStrategy, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
+func colorConflictStatic(gc *graph.CSR, cl *colorLists, conflicted []int32, strategy ListStrategy, bal *classBalance, base int32, rng *rand.Rand, ar *Arena) *listColorResult {
 	order := ar.orderBuf(conflicted)
 	switch strategy {
 	case StaticNatural:
@@ -189,14 +178,11 @@ func colorConflictStatic(gc *graph.CSR, cl *colorLists, conflicted []int32, forb
 		}
 		picked := int32(-1)
 		if bal != nil {
-			// Equitable: among the colors neither taken nor forbidden, the
-			// one with the smallest class (ties uniform), not the first fit.
+			// Equitable: among the colors not taken, the one with the
+			// smallest class (ties uniform), not the first fit.
 			ties := 0
 			var best int32
-			for k, c := range cl.list(int(v)) {
-				if forbidden != nil && forbidden[int(v)*cl.L+k] {
-					continue
-				}
+			for _, c := range cl.list(int(v)) {
 				if taken.has(c) {
 					continue
 				}
@@ -212,10 +198,7 @@ func colorConflictStatic(gc *graph.CSR, cl *colorLists, conflicted []int32, forb
 				}
 			}
 		} else {
-			for k, c := range cl.list(int(v)) {
-				if forbidden != nil && forbidden[int(v)*cl.L+k] {
-					continue
-				}
+			for _, c := range cl.list(int(v)) {
 				if !taken.has(c) {
 					picked = c
 					break

@@ -8,11 +8,11 @@
 // top classes (smallest first — they are the cheapest to empty), and sends
 // their vertices back through the staged engine with the palette pinned to
 // the surviving colors [0, ceiling). The rest of the coloring is a frozen
-// frontier, pruned against exactly like a streaming shard
-// (backend.FixedBuckets + CrossOracle), so peak memory follows the moved
-// set, never the graph. Vertices that cannot move keep their old color — a
-// round is a no-op for them, never improper — and rounds repeat until no
-// class falls for stallRounds rounds, the round cap, or a target C.
+// frontier whose colors are struck from the lists before each conflict
+// build (backend.FixedBuckets + CrossOracle), so peak memory follows the
+// moved set, never the graph. Vertices that cannot move keep their old
+// color — a round is a no-op for them, never improper — and rounds repeat
+// until no class falls for stallRounds rounds, the round cap, or a target C.
 package core
 
 import (

@@ -107,13 +107,6 @@ func (d *Device) Peak() int64 {
 	return d.peak
 }
 
-// ResetPeak clears the peak statistic down to the live allocation level.
-func (d *Device) ResetPeak() {
-	d.mu.Lock()
-	d.peak = d.used
-	d.mu.Unlock()
-}
-
 // LaunchChunked executes kernel(lo, hi, worker) over contiguous thread
 // ranges across the device's workers — the simulation of a CUDA kernel
 // launch — exposing the worker id for per-"SM" scratch state.
