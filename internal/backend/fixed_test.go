@@ -2,6 +2,8 @@ package backend
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"picasso/internal/graph"
@@ -9,16 +11,41 @@ import (
 
 // crossTestOracle adjacency-tests active-local rows (offset into the global
 // graph) against global fixed ids — the same shape the streaming engine
-// wires up.
+// wires up. With row set it answers the whole bucket into hits first, the
+// way an oracle with a batched row kernel does.
 type crossTestOracle struct {
 	o      graph.Oracle
 	offset int
+	row    bool
 }
 
-func (c crossTestOracle) HasCross(i int, fixed []int32, out []bool) {
-	for k, f := range fixed {
-		out[k] = c.o.HasEdge(c.offset+i, int(f))
+func (c crossTestOracle) FirstCross(i int, fixed []int32, hits []bool) int {
+	if c.row {
+		for k, f := range fixed {
+			hits[k] = c.o.HasEdge(c.offset+i, int(f))
+		}
+		return slices.Index(hits[:len(fixed)], true)
 	}
+	for k, f := range fixed {
+		if c.o.HasEdge(c.offset+i, int(f)) {
+			return k
+		}
+	}
+	return -1
+}
+
+// pairLog is a graph.Oracle that counts every pair it is asked about.
+type pairLog struct {
+	graph.Oracle
+	mu    sync.Mutex
+	asked map[[2]int]int
+}
+
+func (p *pairLog) HasEdge(u, v int) bool {
+	p.mu.Lock()
+	p.asked[[2]int{u, v}]++
+	p.mu.Unlock()
+	return p.Oracle.HasEdge(u, v)
 }
 
 // fixedFixture: vertices [0, nFixed) are the colored frontier, vertices
@@ -73,25 +100,118 @@ func TestFixedBucketsInvariants(t *testing.T) {
 	}
 }
 
+// TestIndexColorsMatchesStagedIndex pins the staging-free index to the
+// staged one: the same buckets, in the same order, over the vertices whose
+// color lies in [0, P) — uncolored and out-of-window vertices left out —
+// whether the vertices are a whole color array or an id subset of it.
+func TestIndexColorsMatchesStagedIndex(t *testing.T) {
+	const n, P = 300, 11
+	colors := make([]int32, n)
+	for v := range colors {
+		colors[v] = int32(v*7%(P+3)) - 1 // −1 (uncolored) through P+1
+	}
+	subset := []int32{3, 4, 9, 40, 41, 200, 298, 299}
+	for _, ids := range [][]int32{nil, subset, {}} {
+		var stagedIDs, stagedCols []int32
+		visit := ids
+		if ids == nil {
+			for v := range colors {
+				visit = append(visit, int32(v))
+			}
+		}
+		for _, v := range visit {
+			if c := colors[v]; c >= 0 && c < P {
+				stagedIDs, stagedCols = append(stagedIDs, v), append(stagedCols, c)
+			}
+		}
+		want := NewFixedBucketsIn(NewArena(), P, stagedIDs, stagedCols)
+		var got FixedBuckets
+		got.IndexColors(P+5, colors, ids) // a wider window first: rebuilds reuse storage
+		got.IndexColors(P, colors, ids)
+		if got.P != P || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vtx, want.Vtx) {
+			t.Fatalf("ids %v: index (P %d, Off %v, Vtx %v), staged (Off %v, Vtx %v)",
+				ids, got.P, got.Off, got.Vtx, want.Off, want.Vtx)
+		}
+		if got.Bytes() != int64(P+1)*8+int64(len(stagedIDs))*4 {
+			t.Fatalf("ids %v: Bytes %d for %d indexed vertices", ids, got.Bytes(), len(stagedIDs))
+		}
+	}
+}
+
+// TestForbidStopsAtFirstWitness pins the pass's work: an unmarked slot
+// tests its bucket in order up to its first adjacent member and no pair
+// past it, a slot already marked tests nothing, and Forbid returns exactly
+// Σ (witness position + 1, or the bucket length) over the tested slots.
+// Buckets here hold 50 members each and a witness usually sits in the
+// first few, so testing whole buckets, or blocks of them, fails.
+func TestForbidStopsAtFirstWitness(t *testing.T) {
+	const nFixed, nActive, P, L = 400, 60, 8, 3
+	o, ids, colors, lists := fixedFixture(nFixed, nActive, P, L)
+	for _, workers := range []int{1, 3} {
+		arena := NewArena()
+		fb := NewFixedBucketsIn(arena, P, ids, colors)
+		log := &pairLog{Oracle: o, asked: map[[2]int]int{}}
+		mask := make([]bool, nActive*L)
+		for s := range mask {
+			mask[s] = s%5 == 0
+		}
+		pre := slices.Clone(mask)
+		tested := fb.Forbid(context.Background(), crossTestOracle{o: log, offset: nFixed}, lists, workers, arena, mask)
+
+		var want int64
+		for i := 0; i < nActive; i++ {
+			u := nFixed + i
+			for k, c := range lists.List(i) {
+				members := fb.Bucket(c)
+				stop := len(members) // pairs the slot must test
+				if pre[i*L+k] {
+					stop = 0
+				} else if w := slices.IndexFunc(members, func(f int32) bool { return o.HasEdge(u, int(f)) }); w >= 0 {
+					stop = w + 1
+				}
+				want += int64(stop)
+				for w, f := range members {
+					if got := log.asked[[2]int{u, int(f)}]; got != min(1, max(stop-w, 0)) {
+						t.Fatalf("workers=%d: row %d slot %d asked about bucket member %d (of %d, %d to test) %d times",
+							workers, i, k, w, len(members), stop, got)
+					}
+				}
+			}
+		}
+		if tested != want {
+			t.Fatalf("workers=%d: Forbid reports %d tests, want %d", workers, tested, want)
+		}
+	}
+}
+
 func TestForbidMatchesBruteForce(t *testing.T) {
 	const nFixed, nActive, P, L = 150, 120, 13, 4
 	o, ids, colors, lists := fixedFixture(nFixed, nActive, P, L)
-	cross := crossTestOracle{o: o, offset: nFixed}
 	want := bruteForbidden(o, nFixed, ids, colors, lists)
 
-	for _, workers := range []int{1, 4} {
-		arena := NewArena()
-		fb := NewFixedBucketsIn(arena, P, ids, colors)
-		got := make([]bool, nActive*L)
-		tested := fb.Forbid(context.Background(), cross, lists, workers, arena, got)
-		if tested == 0 {
-			t.Fatal("fixed pass tested nothing")
-		}
-		for s := range want {
-			if got[s] != want[s] {
-				t.Fatalf("workers=%d: slot %d = %v, want %v", workers, s, got[s], want[s])
+	var counts []int64
+	for _, row := range []bool{false, true} {
+		cross := crossTestOracle{o: o, offset: nFixed, row: row}
+		for _, workers := range []int{1, 4} {
+			arena := NewArena()
+			fb := NewFixedBucketsIn(arena, P, ids, colors)
+			got := make([]bool, nActive*L)
+			tested := fb.Forbid(context.Background(), cross, lists, workers, arena, got)
+			if tested == 0 {
+				t.Fatal("fixed pass tested nothing")
+			}
+			counts = append(counts, tested)
+			for s := range want {
+				if got[s] != want[s] {
+					t.Fatalf("row=%v workers=%d: slot %d = %v, want %v", row, workers, s, got[s], want[s])
+				}
 			}
 		}
+	}
+	// The count is the pass's, not the oracle's: a row kernel answering
+	// whole buckets reports the same tests as one stopping at the witness.
+	if slices.Min(counts) != slices.Max(counts) {
+		t.Fatalf("test counts differ across oracles and workers: %v", counts)
 	}
 }
 

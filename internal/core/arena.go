@@ -44,6 +44,12 @@ type Arena struct {
 	fixedColors  []int32
 	directFailed []int32
 
+	// Recolor-unit fixed-color indexes (refine.go, engine.go strike): the
+	// frozen frontier, built once per unit, and the unit's own recolored
+	// vertices, rebuilt per iteration.
+	frontier  backend.FixedBuckets
+	recolored backend.FixedBuckets
+
 	// Refinement-only buffers (refine.go): per-round class bookkeeping —
 	// counts/order/remap over the current color ids, per-dense-class sizes —
 	// and the moved-set staging (ids, saved colors, surviving-class marks).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"picasso/internal/backend"
 	"picasso/internal/graph"
 )
@@ -71,12 +73,15 @@ func newRangeEdgeOracle(view graph.Oracle) edgeOracle {
 }
 
 // crossOracle answers adjacency between a local row and *global*
-// fixed-frontier ids (backend.CrossOracle): the frozen-frontier scan tests
-// candidates against already-colored vertices through it. Local id i is
-// global id active[i] when an active table is given (the fixed-color pass),
-// else base+i (the speculative repair's contiguous lane range). Both sides
-// then live in the input oracle's id space, so the oracle's batched row
-// kernel applies directly when it has one.
+// fixed-frontier ids (backend.CrossOracle): the fixed-color pass and the
+// repair's collision scan test candidates against already-colored vertices
+// through it. Local id i is global id active[i] when an active table is
+// given (the fixed-color pass), else base+i (the speculative repair's
+// contiguous lane range). Both sides then live in the input oracle's id
+// space, so an oracle with a batched row kernel answers a whole bucket in
+// one call (a distance-2 view marks the row's two-hop ball once, where
+// each single test merges two neighbor lists); any other oracle is asked
+// pair by pair up to the first adjacent fixed vertex.
 type crossOracle struct {
 	o      graph.Oracle
 	row    graph.RowOracle // non-nil when o batches rows
@@ -92,18 +97,21 @@ func newCrossOracle(o graph.Oracle, active []int32, base int) crossOracle {
 	return co
 }
 
-func (c crossOracle) HasCross(i int, fixed []int32, out []bool) {
+func (c crossOracle) FirstCross(i int, fixed []int32, hits []bool) int {
 	u := c.base + i
 	if c.active != nil {
 		u = int(c.active[i])
 	}
 	if c.row != nil {
-		c.row.HasEdgeRow(u, fixed, out)
-		return
+		c.row.HasEdgeRow(u, fixed, hits)
+		return slices.Index(hits[:len(fixed)], true)
 	}
 	for k, f := range fixed {
-		out[k] = c.o.HasEdge(u, int(f))
+		if c.o.HasEdge(u, int(f)) {
+			return k
+		}
 	}
+	return -1
 }
 
 // Len returns the active-vertex count m.

@@ -129,7 +129,11 @@ type engine struct {
 	// window every iteration (no per-iteration palette advance) and no
 	// singleton fallback (vertices that cannot move stay uncolored for the
 	// driver to restore, so a stuck vertex is a no-op, never improper).
+	// unitIDs is set while a refine round holds its frontier index
+	// (recolor): the round's vertex set, whose recolored members the
+	// fixed-color pass indexes per iteration (strike).
 	refineCeil int32
+	unitIDs    []int32
 
 	// Equitable variant state (equitable.go): bal biases candidate picks
 	// toward the smallest class (nil outside the variant, rebuilt per
@@ -389,18 +393,38 @@ func pickDirect(lst []int32, bal *classBalance, base int32, rng *rand.Rand) int 
 // strike is the fixed-color pass: it marks every list slot whose color an
 // adjacent vertex of the frozen frontier [0, fixedEnd) holds, then prunes
 // the marked slots from the lists. The mask is charged only while the pass
-// runs. The frontier is chunked by the unit range — by the moved set for a
-// recolor unit, which spans [0, n) while its live memory must follow the
-// active vertices. Returns the cross adjacency tests spent.
+// runs. A refine round that holds its frontier index (indexFrontier)
+// forbids against it and, from its second iteration, against an index of
+// the round's own vertices that earlier iterations recolored, which the
+// frontier index predates; that small index is built and charged per
+// call. Every other unit scans the frontier chunk by chunk (scanFrontier),
+// chunked by the unit range — by the moved set for a recolor unit, which
+// spans [0, n) while its live memory must follow its active vertices.
+// Returns the cross adjacency tests spent.
 func (e *engine) strike(cl *colorLists) (int64, error) {
 	m := len(e.active)
 	mask := e.ar.forbidBuf(m * cl.L)
 	defer e.tr.Scoped(int64(m * cl.L))()
-	chunk := e.end - e.start
-	if e.refineCeil > 0 {
-		chunk = m
+	cross := newCrossOracle(e.o, e.active, 0)
+	var tested int64
+	var err error
+	if e.unitIDs != nil {
+		tested = e.ar.frontier.Forbid(e.ctx, cross, cl, e.opts.Workers, e.ar.be, mask)
+		if e.iter > 1 { // the first iteration has recolored nothing yet
+			own := &e.ar.recolored
+			own.IndexColors(int(e.refineCeil), e.colors, e.unitIDs)
+			release := e.tr.Scoped(own.Bytes())
+			tested += own.Forbid(e.ctx, cross, cl, e.opts.Workers, e.ar.be, mask)
+			release()
+		}
+		err = backend.Cancelled(e.ctx)
+	} else {
+		chunk := e.end - e.start
+		if e.refineCeil > 0 {
+			chunk = m
+		}
+		tested, err = e.scanFrontier(cross, cl, 0, e.fixedEnd, chunk, e.base, mask)
 	}
-	tested, err := e.scanFrontier(newCrossOracle(e.o, e.active, 0), cl, 0, e.fixedEnd, chunk, e.base, mask)
 	if err == nil {
 		cl.prune(mask)
 	}
@@ -438,18 +462,22 @@ func (e *engine) edgeView() edgeOracle {
 }
 
 // scanFrontier is the frozen-frontier scan shared by the fixed-color pass
-// and the speculative repair: it marks mask[i*L+k] when slot k of row i
-// carries a color that an adjacent vertex of [lo, hi) already holds inside
-// the palette window [base, base+P) (L and P from lists; the color is
-// compared palette-local, c − base). Uncolored vertices (−1) fall below
-// every window and are skipped. The range is indexed chunk by chunk (chunk
-// floored at 4096), so the scan's live memory stays O(chunk) however much
-// of the graph is already colored; each chunk's index and staging are
-// charged to the tracker while they live. The price of that bound is a
-// linear window-filter scan of the range per call (two compares per frozen
-// vertex): a per-shard index over all frontier colors would amortize it
-// across a shard's iterations but hold O(n) live — exactly what streaming
-// exists to avoid. Returns the cross adjacency tests spent.
+// and the speculative repair's collision detection: it marks mask[i*L+k]
+// when slot k of row i carries a color that an adjacent vertex of [lo, hi)
+// already holds inside the palette window [base, base+P) (L and P from
+// lists; the color is compared palette-local, c − base). Uncolored
+// vertices (−1) fall below every window and are skipped. The range is
+// indexed chunk by chunk (chunk floored at 4096), so the scan's live
+// memory stays O(chunk) however much of the graph is already colored;
+// each chunk's index and staging are charged to the tracker while they
+// live. The price is a linear window-filter scan of the range per call
+// (two compares per frozen vertex). A refine round amortizes that scan
+// into one index held for the round (indexFrontier), because its window
+// never moves and it runs between streamed units. Shards and repair units
+// keep the chunks: an index over all frontier colors held inside a stream
+// would add O(n) live bytes to the run peak that nextShard sizes the next
+// shard from — exactly what streaming exists to avoid. Returns the cross
+// adjacency tests spent.
 func (e *engine) scanFrontier(cross crossOracle, lists backend.Lists, lo, hi, chunk int, base int32, mask []bool) (int64, error) {
 	P := lists.Palette()
 	chunk = max(chunk, 4096)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"picasso/internal/graph"
@@ -170,5 +171,169 @@ func FuzzFrontierScanMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, span, chunk, P uint16, L, rows uint8, base uint16, mode uint8, seed int64) {
 		checkFrontierScan(t, 1+int(span)%12288, 1+int(chunk)%8192, 1+int(P)%512,
 			1+int(L)%16, 1+int(rows)%48, int32(base%1024), mode, seed)
+	})
+}
+
+// checkRecolorStrike drives a recolor unit's fixed-color pass the way
+// recolor and iterate do. The unit's vertices (ascending, inside the frozen
+// range [0, fixedEnd)) are uncolored when the frontier is indexed; earlier
+// iterations then recolor `done` of them below the ceiling P, and the next
+// iteration's strike must mark slot k of active row i exactly when a
+// neighbor of the row in [0, fixedEnd) — frozen, or recolored by the unit —
+// holds its color. Vertices past fixedEnd hold colors too and must not
+// count. Each recolored vertex, the range's ends and one vertex past it
+// decide a slot alone. The frontier index is charged from indexing until
+// its release, the pass's mask and recolored-vertex index only while it
+// runs, and nothing stays tracked after the release. With row set the
+// oracle has a row kernel.
+func checkRecolorStrike(t *testing.T, fixedEnd, P, L, m, done, workers int, row bool, seed int64) {
+	t.Helper()
+	L = min(L, P)
+	gen := rand.New(rand.NewSource(seed))
+	n := fixedEnd + gen.Intn(64)
+	colors := make(graph.Coloring, n)
+	for v := range colors {
+		switch gen.Intn(8) {
+		case 0:
+			colors[v] = graph.Uncolored
+		case 1:
+			colors[v] = int32(P + gen.Intn(P)) // above the window
+		default:
+			colors[v] = int32(gen.Intn(P))
+		}
+	}
+	unit := make([]int32, 0, m+done)
+	for _, v := range gen.Perm(fixedEnd)[:m+done] {
+		unit = append(unit, int32(v))
+	}
+	slices.Sort(unit)
+	inUnit := map[int32]bool{}
+	for _, v := range unit {
+		colors[v] = graph.Uncolored
+		inUnit[v] = true
+	}
+	recolored := map[int32]bool{}
+	for _, k := range gen.Perm(m + done)[:done] {
+		recolored[unit[k]] = true
+	}
+	var active, later []int32
+	for _, v := range unit {
+		if recolored[v] {
+			later = append(later, v)
+		} else {
+			active = append(active, v)
+		}
+	}
+
+	ar := NewArena()
+	cl := assignRandomLists(m, P, L, gen, ar)
+	lists := make([][]int32, m)
+	for i := range lists {
+		lists[i] = slices.Clone(cl.list(i))
+	}
+	so := &sparseOracle{n: n, nbrs: map[int32][]int32{}, edge: map[[2]int32]bool{}}
+	for _, u := range active {
+		for k := gen.Intn(6); k > 0; k-- {
+			so.add(u, int32(gen.Intn(n)))
+		}
+	}
+	decide := func(v int32) {
+		i := gen.Intn(m)
+		so.add(active[i], v)
+		colors[v] = lists[i][gen.Intn(L)]
+	}
+	for _, v := range []int32{0, int32(fixedEnd - 1), int32(n - 1)} {
+		if !inUnit[v] {
+			decide(v)
+		}
+	}
+
+	var o graph.Oracle = so
+	if row {
+		o = sparseRowOracle{so}
+	}
+	tr := &memtrack.Tracker{}
+	e := &engine{
+		ctx: context.Background(), o: o, opts: &Options{Workers: workers},
+		ar: ar, tr: tr, colors: colors, n: n, end: n,
+		fixedEnd: fixedEnd, refineCeil: int32(P), unitIDs: unit,
+	}
+	release := e.indexFrontier()
+	indexBytes := ar.frontier.Bytes()
+	if tr.Current() != indexBytes {
+		t.Fatalf("%d bytes tracked for a %d-byte frontier index", tr.Current(), indexBytes)
+	}
+	// Earlier iterations recolor `later` below the ceiling.
+	for _, v := range later {
+		decide(v)
+	}
+	e.active, e.iter = active, 1
+	ownBytes := int64(0)
+	if done > 0 {
+		e.iter = 2
+		ownBytes = int64(P+1)*8 + int64(done)*4
+	}
+
+	want := make([]bool, m*L)
+	for i, u := range active {
+		for k, c := range lists[i] {
+			for _, v := range so.nbrs[u] {
+				if int(v) < fixedEnd && colors[v] == c {
+					want[i*L+k] = true
+				}
+			}
+		}
+	}
+	if _, err := e.strike(cl); err != nil {
+		t.Fatal(err)
+	}
+	for s, forbidden := range want {
+		if ar.forbid[s] != forbidden {
+			i, k := s/L, s%L
+			t.Fatalf("fixedEnd %d P %d L %d rows %d recolored %d: row %d (vertex %d) slot %d (color %d) marked %v, reference %v",
+				fixedEnd, P, L, m, done, i, active[i], k, lists[i][k], ar.forbid[s], forbidden)
+		}
+	}
+	for i := range lists {
+		var live []int32
+		for k, c := range lists[i] {
+			if !want[i*L+k] {
+				live = append(live, c)
+			}
+		}
+		if !slices.Equal(cl.list(i), live) {
+			t.Fatalf("row %d struck to %v, want %v", i, cl.list(i), live)
+		}
+	}
+	if got, wantPeak := tr.Peak(), indexBytes+int64(m*L)+ownBytes; tr.Current() != indexBytes || got != wantPeak {
+		t.Fatalf("after the pass %d bytes tracked (want the index's %d), peak %d (want %d)",
+			tr.Current(), indexBytes, got, wantPeak)
+	}
+	release()
+	if tr.Current() != 0 {
+		t.Fatalf("%d tracked bytes left after the unit", tr.Current())
+	}
+}
+
+// FuzzRecolorStrikeMatchesReference pins a recolor unit's fixed-color pass
+// (the frontier index held for the unit plus the per-iteration index of the
+// unit's recolored vertices) to the brute-force reference. Fuzzed shapes
+// fold into a frozen range of up to 4096 vertices beyond the unit,
+// P ≤ 512, L ≤ 16, 1–48 active rows, 0–48 recolored unit vertices, 1–3
+// workers and (bit 8 of the workers byte) an oracle with a row kernel.
+func FuzzRecolorStrikeMatchesReference(f *testing.F) {
+	for i, c := range []struct {
+		span, P    uint16
+		L, m, done uint8
+	}{
+		{0, 4, 2, 1, 0}, {30, 7, 3, 5, 1}, {500, 60, 4, 20, 12}, {2000, 300, 8, 40, 40}, {4095, 511, 15, 47, 3},
+	} {
+		f.Add(c.span, c.P, c.L, c.m, c.done, uint8(i), int64(i)+1)
+		f.Add(c.span, c.P, c.L, c.m, c.done, uint8(i)|8, int64(i)+1)
+	}
+	f.Fuzz(func(t *testing.T, span, P uint16, L, m, done, workers uint8, seed int64) {
+		rows, later := 1+int(m)%48, int(done)%49
+		checkRecolorStrike(t, rows+later+int(span)%4097, 1+int(P)%512, 1+int(L)%16,
+			rows, later, 1+int(workers)%3, workers&8 != 0, seed)
 	})
 }

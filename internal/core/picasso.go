@@ -17,7 +17,7 @@ type IterStats struct {
 	ConflictVertices int           // |Vc|
 	ConflictEdges    int64         // |Ec|
 	PairsTested      int64         // candidate pairs the build examined (vs m(m−1)/2 all-pairs)
-	FixedPairsTested int64         // cross-frontier adjacency tests of the streaming fixed-color pass
+	FixedPairsTested int64         // cross-frontier adjacency tests of the streaming fixed-color pass, each slot's up to its first adjacent frozen vertex
 	Unconflicted     int           // vertices colored directly (line 8)
 	Colored          int           // total vertices colored this iteration
 	Failed           int           // |Vu| carried to the next iteration (unit-local)
@@ -45,7 +45,8 @@ type Result struct {
 	TotalPairsTested int64
 	// FixedPairsTested sums the cross-frontier adjacency tests the
 	// streaming fixed-color pass spent pruning shard candidates against
-	// already-fixed colors (0 for one-shot runs). A speculative run also
+	// already-fixed colors (0 for one-shot runs); a list slot's tests stop
+	// at its first adjacent frozen vertex. A speculative run also
 	// adds the scans that detect cross-shard collisions for repair; those
 	// belong to no iteration, so there Σ IterStats.FixedPairsTested falls
 	// short of this total.

@@ -9,10 +9,15 @@
 // their vertices back through the staged engine with the palette pinned to
 // the surviving colors [0, ceiling). The rest of the coloring is a frozen
 // frontier whose colors are struck from the lists before each conflict
-// build (backend.FixedBuckets + CrossOracle), so peak memory follows the
-// moved set, never the graph. Vertices that cannot move keep their old
-// color — a round is a no-op for them, never improper — and rounds repeat
-// until no class falls for stallRounds rounds, the round cap, or a target C.
+// build (backend.FixedBuckets + CrossOracle). A round indexes that
+// frontier once and holds the index for the round (4 bytes per indexed
+// vertex plus 8 per color) wherever the budget model fits it beside the
+// round — always without a budget — and otherwise scans the frontier in
+// chunks; every other live byte follows the moved set, never the graph,
+// and the coloring is the same either way. Vertices that cannot move keep
+// their old color — a round is a no-op for them, never improper — and
+// rounds repeat until no class falls for stallRounds rounds, the round
+// cap, or a target C.
 package core
 
 import (
@@ -76,7 +81,7 @@ type RefineRound struct {
 	ColorsAfter      int   // distinct colors after the round
 	Iterations       int   // engine iterations the round spent
 	PairsTested      int64 // conflict-build pair tests
-	FixedPairsTested int64 // cross-frontier adjacency tests
+	FixedPairsTested int64 // cross-frontier adjacency tests, each slot's up to its first adjacent frozen vertex
 	Duration         time.Duration
 }
 
@@ -192,7 +197,15 @@ func refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts *Opti
 		pairs0, fixed0, iters0 := e.res.TotalPairsTested, e.res.FixedPairsTested, len(e.res.Iters)
 		rt0 := time.Now()
 		e.shardIdx = round
-		if err := e.recolor(moved, ceiling, n+round); err != nil {
+		// The round holds one frontier index for all its iterations when
+		// the budget model fits it: the moved set's worst-case footprint
+		// plus both of strike's indexes at their bound (4 bytes per vertex
+		// of the graph, 8 per color each) on top of what is live now.
+		// Otherwise it scans the frontier in chunks, as a repair unit
+		// does; the masks, and so the coloring, are the same either way.
+		hold := opts.MemoryBudgetBytes <= 0 ||
+			e.tr.Current()+shardFootprint(opts, o, n, total)+int64(n)*4+int64(ceiling+1)*16 <= opts.MemoryBudgetBytes
+		if err := e.recolor(moved, ceiling, n+round, hold); err != nil {
 			release()
 			e.abort()
 			return nil, err
@@ -274,15 +287,17 @@ func refine(ctx context.Context, o graph.Oracle, prev graph.Coloring, opts *Opti
 
 // recolor runs one fixed-remainder recolor unit over an arbitrary ascending
 // vertex subset with the palette pinned to the existing colors [0, ceil),
-// then unpins it. The unit spans the whole graph — the frontier scan walks
-// every still-colored vertex of [0, fixedEnd) — while the active set, and
-// with it the unit's live memory, is the given set alone. Vertices that
-// cannot move stay uncolored for the caller to settle. Unit randomness
-// derives from (Seed, key); callers partition the key space: refinement
-// rounds use n+round, the speculative repair 2n+lane start — both disjoint
-// from the shard domain [0, n), so a recolor never replays a shard's random
-// stream.
-func (e *engine) recolor(ids []int32, ceil int32, key int) error {
+// then unpins it. The unit spans the whole graph — its fixed-color pass
+// reads every still-colored vertex of [0, fixedEnd) — while the active
+// set, and with it the unit's live memory, is the given set alone. With
+// hold the unit instead indexes that frontier once (indexFrontier) and
+// holds the index until it ends: one O(n) index in place of a chunked
+// frontier scan per iteration. Vertices that cannot move stay uncolored
+// for the caller to settle. Unit randomness derives from (Seed, key);
+// callers partition the key space: refinement rounds use n+round, the
+// speculative repair 2n+lane start — both disjoint from the shard domain
+// [0, n), so a recolor never replays a shard's random stream.
+func (e *engine) recolor(ids []int32, ceil int32, key int, hold bool) error {
 	e.start, e.end = 0, e.n
 	e.active = e.ar.activeBuf(len(ids))
 	copy(e.active, ids)
@@ -293,9 +308,28 @@ func (e *engine) recolor(ids []int32, ceil int32, key int) error {
 	e.bal = e.newBalance()
 	e.rng = newUnitRNG(e.opts.Seed, key)
 	e.refineCeil = ceil
+	release := func() {}
+	if hold {
+		e.unitIDs = ids
+		release = e.indexFrontier()
+	}
 	err := e.runUnit()
-	e.refineCeil = 0
+	release()
+	e.refineCeil, e.unitIDs = 0, nil
 	return err
+}
+
+// indexFrontier indexes a refine round's frozen frontier: every vertex of
+// [0, fixedEnd) whose color lies in [0, refineCeil), read straight from the
+// color array into the arena's frontier index. The frontier and the
+// palette window stay put for the whole unit — only the unit's own
+// vertices gain colors, and strike indexes those per iteration — so one
+// index serves every iteration. Its bytes (4 per indexed vertex plus 8 per
+// color) are charged until the returned release runs.
+func (e *engine) indexFrontier() func() {
+	fb := &e.ar.frontier
+	fb.IndexColors(int(e.refineCeil), e.colors[:e.fixedEnd], nil)
+	return e.tr.Scoped(fb.Bytes())
 }
 
 // renumberBySize remaps the engine's coloring to dense ids [0, C) ordered

@@ -100,6 +100,40 @@ func TestRefineHonorsBudget(t *testing.T) {
 	}
 }
 
+func TestRefineBudgetAtScale(t *testing.T) {
+	// A budgeted refinement well past the frontier scan's 4096-vertex chunk
+	// floor. A round holds one index over the whole frozen rest (4 bytes a
+	// vertex plus 8 a color) only where the budget model fits it beside the
+	// round; here it does not, so the rounds scan in chunks and the peak
+	// stays under a budget that an index held regardless crossed (414,268
+	// bytes against 323,840).
+	const n = 40000
+	o := graph.RandomOracle{N: n, P: 0.01, Seed: 3}
+	one := Normal(1)
+	one.Backend = "sequential"
+	base, err := Run(context.Background(), o, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr memtrack.Tracker
+	opts := one
+	opts.Tracker = &tr
+	opts.MemoryBudgetBytes = 4*n + 160<<10 // the color array plus the headroom
+	st, err := refineStats(Run(context.Background(), o, refining(opts, base.Colors, RefineOptions{Rounds: 4})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BudgetExceeded || tr.Peak() > opts.MemoryBudgetBytes {
+		t.Fatalf("peak %d over the %d-byte budget (reported %v)", tr.Peak(), opts.MemoryBudgetBytes, st.BudgetExceeded)
+	}
+	if st.ColorsAfter >= st.ColorsBefore {
+		t.Fatalf("budgeted refinement won nothing: %d -> %d", st.ColorsBefore, st.ColorsAfter)
+	}
+	if tr.Current() != 0 {
+		t.Fatalf("refinement leaked %d tracked bytes", tr.Current())
+	}
+}
+
 func TestRefineTargetAndMovedCap(t *testing.T) {
 	o := graph.RandomOracle{N: 1200, P: 0.5, Seed: 19}
 	base, err := Run(context.Background(), o, Normal(6))

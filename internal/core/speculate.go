@@ -275,8 +275,10 @@ func (e *engine) repair(groupStart int, s span) error {
 	ceil0 := e.ceil
 	e.fixedEnd = s.end
 	// Repair randomness lives at 2n+start: disjoint from both the shard
-	// domain [0, n) and refinement's [n, 2n).
-	if err := e.recolor(losers, e.ceil, 2*e.n+s.start); err != nil {
+	// domain [0, n) and refinement's [n, 2n). The unit holds no frontier
+	// index: its scan stays chunked, so its live bytes follow the lane,
+	// not the prefix, under the budget nextShard sizes shards against.
+	if err := e.recolor(losers, e.ceil, 2*e.n+s.start, false); err != nil {
 		return err
 	}
 	for _, v := range losers {

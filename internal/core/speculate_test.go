@@ -155,6 +155,43 @@ func TestStreamSpeculateAutoShardBudget(t *testing.T) {
 	}
 }
 
+func TestStreamSpeculateRepairFollowsTheLane(t *testing.T) {
+	// A budgeted speculative stream well past the frontier scan's
+	// 4096-vertex chunk floor. Repair units scan the frozen prefix in
+	// chunks, so their tracked bytes follow the lane, not the prefix, and
+	// the budget that sized the lanes also holds the repairs. Short lists
+	// and a wide palette shrink the worst-case shard footprint until two
+	// lanes fit 160 KiB of headroom, while one index over the whole frozen
+	// prefix (4 bytes a vertex) would need up to 160,000 bytes: a repair
+	// that held one crossed the budget and halved the next shards to the
+	// minimum (peak 338,412 against 323,840 bytes).
+	const n = 40000
+	o := graph.RandomOracle{N: n, P: 0.05, Seed: 3}
+	opts := Normal(1)
+	opts.Backend = "sequential"
+	opts.Alpha, opts.PaletteFrac = 0.4, 0.5
+	opts.Speculate = 2
+	opts.MemoryBudgetBytes = 4*n + 160<<10 // the color array plus the headroom
+	var tr memtrack.Tracker
+	opts.Tracker = &tr
+	var sizes []int
+	opts.Checkpoint = func(st RunState) { sizes = append(sizes, st.End-st.Start) }
+	res, err := Run(context.Background(), o, streamed(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SpeculativeConflicts == 0 {
+		t.Fatal("no speculative conflicts: no repair unit ran")
+	}
+	if res.BudgetExceeded || tr.Peak() > opts.MemoryBudgetBytes {
+		t.Fatalf("peak %d over the %d-byte budget (reported %v); group sizes %v",
+			tr.Peak(), opts.MemoryBudgetBytes, res.BudgetExceeded, sizes)
+	}
+	if tr.Current() != 0 {
+		t.Errorf("%d tracked bytes leaked", tr.Current())
+	}
+}
+
 func TestStreamSpeculateInjectedBuilderFallsBack(t *testing.T) {
 	// An injected Builder is bound to one arena: speculation must quietly
 	// run one-shard groups instead of sharing the instance across lanes.
