@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"reflect"
@@ -42,7 +43,7 @@ func sampleArtifact(t *testing.T) *Artifact {
 	}
 }
 
-func encodeBytes(t *testing.T, a *Artifact) []byte {
+func encodeBytes(t testing.TB, a *Artifact) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Encode(&buf, a); err != nil {
@@ -219,6 +220,83 @@ func TestDecodeBitFlips(t *testing.T) {
 		}
 		if !equalArtifacts(want, got) {
 			t.Fatalf("bit flip at byte %d silently changed the decoded artifact", i)
+		}
+	}
+}
+
+// FuzzArtifactDecode feeds Decode mutated .pic files. Each input first has
+// the CRC of every section whose table entry and payload lie inside the
+// file rewritten (resealSections), so a mutation reaches the typed section
+// decoders — the index section's included — instead of stopping at the
+// checksum. Decode must then return an error, or an artifact that
+// re-encodes, decodes again and re-encodes to the same bytes; it must
+// never panic. The encodings are compared rather than the fields because
+// they are canonical and cover every field, where reflect.DeepEqual calls
+// a NaN coefficient unequal to itself. The seeds are small valid files —
+// one carrying every section kind, a spec-only one and one whose slab has
+// no coefficients — because the fuzzer minimizes every new input it keeps,
+// and minimizing a copy of sampleArtifact's 20 KB takes longer than a
+// short fuzzing run.
+func FuzzArtifactDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	withCoeffs := pauli.NewSet(20)
+	for i := 0; i < 4; i++ {
+		withCoeffs.AppendWithCoeff(pauli.RandomNonIdentity(20, rng), rng.NormFloat64())
+	}
+	colors := []int32{0, 2, 0, 1}
+	ix, err := bucket.BuildIndex(colors)
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, a := range []*Artifact{
+		{Spec: `{"seed":1}`, Set: withCoeffs, Index: ix, Colors: colors,
+			RunState: []byte(`{"version":1}`), Meta: []byte(`{}`), Graph: g},
+		{Spec: "spec-only"},
+		{Spec: "slab-only", Set: pauli.RandomSet(16, 3, rng)},
+	} {
+		f.Add(encodeBytes(f, a))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		resealSections(data)
+		a, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := Encode(&first, a); err != nil {
+			t.Fatalf("decoded artifact does not re-encode: %v", err)
+		}
+		b, err := Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded artifact does not decode: %v", err)
+		}
+		if err := Encode(&second, b); err != nil {
+			t.Fatalf("re-decoded artifact does not re-encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("re-decoded artifact differs from the decoded one")
+		}
+	})
+}
+
+// resealSections rewrites, in place, the stored CRC of every section whose
+// table entry and payload lie inside data.
+func resealSections(data []byte) {
+	if len(data) < headerSize {
+		return
+	}
+	le := binary.LittleEndian
+	count := min(int(le.Uint32(data[12:16])), maxSections)
+	for i := 0; i < count && headerSize+(i+1)*entrySize <= len(data); i++ {
+		e := data[headerSize+i*entrySize:]
+		off, length := le.Uint64(e[8:]), le.Uint64(e[16:])
+		if off <= uint64(len(data)) && length <= uint64(len(data))-off {
+			le.PutUint32(e[24:], crc32.ChecksumIEEE(data[off:off+length]))
 		}
 	}
 }

@@ -17,9 +17,7 @@ import (
 // may still fan out internally — worker lanes are reserved serially before
 // the parallel section, so each goroutine touches only its own lane.
 type Arena struct {
-	bk  Buckets
-	fb  FixedBuckets // streaming fixed-color index (fixed.go)
-	cnt []int64      // bucket counting/cursor scratch (palette-sized)
+	bk Buckets
 	// Worker lane w owns scratches[w] and laneCOO[w]. A lane's edge buffer
 	// holds its row band's edges and is one input of the lane-parallel CSR
 	// conversion; the fixed-color pass uses only the scratch.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"picasso/internal/bucket"
 	"picasso/internal/graph"
 )
 
@@ -48,29 +49,35 @@ func (p *pairLog) HasEdge(u, v int) bool {
 	return p.Oracle.HasEdge(u, v)
 }
 
-// fixedFixture: vertices [0, nFixed) are the colored frontier, vertices
-// [nFixed, nFixed+nActive) are the active shard with candidate lists.
-func fixedFixture(nFixed, nActive, P, L int) (graph.Oracle, []int32, []int32, *testLists) {
+// fixedFixture: vertices [0, nFixed) are the colored frontier, whose
+// colors it returns, and vertices [nFixed, nFixed+nActive) are the active
+// shard with candidate lists.
+func fixedFixture(nFixed, nActive, P, L int) (graph.Oracle, []int32, *testLists) {
 	o := graph.RandomOracle{N: nFixed + nActive, P: 0.5, Seed: 77}
-	ids := make([]int32, nFixed)
 	colors := make([]int32, nFixed)
-	for k := range ids {
-		ids[k] = int32(k)
-		colors[k] = int32((k * 7) % P)
+	for v := range colors {
+		colors[v] = int32((v * 7) % P)
 	}
-	lists := newTestLists(nActive, P, L, 23)
-	return o, ids, colors, lists
+	return o, colors, newTestLists(nActive, P, L, 23)
+}
+
+// fixedIndex indexes the whole frontier over the palette window [0, P)
+// through the builder the streaming engine uses.
+func fixedIndex(colors []int32, P int) *bucket.Index {
+	ix := &bucket.Index{}
+	ix.Rebuild(colors, nil, 0, len(colors), 0, P)
+	return ix
 }
 
 // bruteForbidden computes the reference mask: slot k of active row i is
-// forbidden iff some fixed vertex with that color is adjacent to i.
-func bruteForbidden(o graph.Oracle, offset int, ids, colors []int32, lists Lists) []bool {
+// forbidden iff some frontier vertex with that color is adjacent to i.
+func bruteForbidden(o graph.Oracle, offset int, colors []int32, lists Lists) []bool {
 	L := lists.ListSize()
 	want := make([]bool, lists.Len()*L)
 	for i := 0; i < lists.Len(); i++ {
 		for k, c := range lists.List(i) {
-			for f := range ids {
-				if colors[f] == c && o.HasEdge(offset+i, int(ids[f])) {
+			for f := range colors {
+				if colors[f] == c && o.HasEdge(offset+i, f) {
 					want[i*L+k] = true
 					break
 				}
@@ -78,64 +85,6 @@ func bruteForbidden(o graph.Oracle, offset int, ids, colors []int32, lists Lists
 		}
 	}
 	return want
-}
-
-func TestFixedBucketsInvariants(t *testing.T) {
-	_, ids, colors, _ := fixedFixture(130, 0, 11, 4)
-	fb := NewFixedBucketsIn(NewArena(), 11, ids, colors)
-	if got := len(fb.Vtx); got != len(ids) {
-		t.Fatalf("index holds %d entries for %d fixed vertices", got, len(ids))
-	}
-	seen := 0
-	for c := int32(0); c < 11; c++ {
-		for _, v := range fb.Bucket(c) {
-			if colors[v] != c {
-				t.Fatalf("vertex %d with color %d filed under bucket %d", v, colors[v], c)
-			}
-			seen++
-		}
-	}
-	if seen != len(ids) {
-		t.Fatalf("buckets cover %d of %d fixed vertices", seen, len(ids))
-	}
-}
-
-// TestIndexColorsMatchesStagedIndex pins the staging-free index to the
-// staged one: the same buckets, in the same order, over the vertices whose
-// color lies in [0, P) — uncolored and out-of-window vertices left out —
-// whether the vertices are a whole color array or an id subset of it.
-func TestIndexColorsMatchesStagedIndex(t *testing.T) {
-	const n, P = 300, 11
-	colors := make([]int32, n)
-	for v := range colors {
-		colors[v] = int32(v*7%(P+3)) - 1 // −1 (uncolored) through P+1
-	}
-	subset := []int32{3, 4, 9, 40, 41, 200, 298, 299}
-	for _, ids := range [][]int32{nil, subset, {}} {
-		var stagedIDs, stagedCols []int32
-		visit := ids
-		if ids == nil {
-			for v := range colors {
-				visit = append(visit, int32(v))
-			}
-		}
-		for _, v := range visit {
-			if c := colors[v]; c >= 0 && c < P {
-				stagedIDs, stagedCols = append(stagedIDs, v), append(stagedCols, c)
-			}
-		}
-		want := NewFixedBucketsIn(NewArena(), P, stagedIDs, stagedCols)
-		var got FixedBuckets
-		got.IndexColors(P+5, colors, ids) // a wider window first: rebuilds reuse storage
-		got.IndexColors(P, colors, ids)
-		if got.P != P || !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vtx, want.Vtx) {
-			t.Fatalf("ids %v: index (P %d, Off %v, Vtx %v), staged (Off %v, Vtx %v)",
-				ids, got.P, got.Off, got.Vtx, want.Off, want.Vtx)
-		}
-		if got.Bytes() != int64(P+1)*8+int64(len(stagedIDs))*4 {
-			t.Fatalf("ids %v: Bytes %d for %d indexed vertices", ids, got.Bytes(), len(stagedIDs))
-		}
-	}
 }
 
 // TestForbidStopsAtFirstWitness pins the pass's work: an unmarked slot
@@ -146,23 +95,23 @@ func TestIndexColorsMatchesStagedIndex(t *testing.T) {
 // first few, so testing whole buckets, or blocks of them, fails.
 func TestForbidStopsAtFirstWitness(t *testing.T) {
 	const nFixed, nActive, P, L = 400, 60, 8, 3
-	o, ids, colors, lists := fixedFixture(nFixed, nActive, P, L)
+	o, colors, lists := fixedFixture(nFixed, nActive, P, L)
+	ix := fixedIndex(colors, P)
 	for _, workers := range []int{1, 3} {
 		arena := NewArena()
-		fb := NewFixedBucketsIn(arena, P, ids, colors)
 		log := &pairLog{Oracle: o, asked: map[[2]int]int{}}
 		mask := make([]bool, nActive*L)
 		for s := range mask {
 			mask[s] = s%5 == 0
 		}
 		pre := slices.Clone(mask)
-		tested := fb.Forbid(context.Background(), crossTestOracle{o: log, offset: nFixed}, lists, workers, arena, mask)
+		tested := Forbid(context.Background(), ix, crossTestOracle{o: log, offset: nFixed}, lists, workers, arena, mask)
 
 		var want int64
 		for i := 0; i < nActive; i++ {
 			u := nFixed + i
 			for k, c := range lists.List(i) {
-				members := fb.Bucket(c)
+				members := ix.Bucket(c)
 				stop := len(members) // pairs the slot must test
 				if pre[i*L+k] {
 					stop = 0
@@ -186,17 +135,16 @@ func TestForbidStopsAtFirstWitness(t *testing.T) {
 
 func TestForbidMatchesBruteForce(t *testing.T) {
 	const nFixed, nActive, P, L = 150, 120, 13, 4
-	o, ids, colors, lists := fixedFixture(nFixed, nActive, P, L)
-	want := bruteForbidden(o, nFixed, ids, colors, lists)
+	o, colors, lists := fixedFixture(nFixed, nActive, P, L)
+	want := bruteForbidden(o, nFixed, colors, lists)
+	ix := fixedIndex(colors, P)
 
 	var counts []int64
 	for _, row := range []bool{false, true} {
 		cross := crossTestOracle{o: o, offset: nFixed, row: row}
 		for _, workers := range []int{1, 4} {
-			arena := NewArena()
-			fb := NewFixedBucketsIn(arena, P, ids, colors)
 			got := make([]bool, nActive*L)
-			tested := fb.Forbid(context.Background(), cross, lists, workers, arena, got)
+			tested := Forbid(context.Background(), ix, cross, lists, workers, NewArena(), got)
 			if tested == 0 {
 				t.Fatal("fixed pass tested nothing")
 			}
@@ -219,16 +167,16 @@ func TestForbidAccumulatesAcrossFrontierChunks(t *testing.T) {
 	// The streaming engine bounds fixed-pass memory by indexing the frontier
 	// chunk by chunk; the union of chunked passes must equal one whole pass.
 	const nFixed, nActive, P, L = 160, 90, 9, 3
-	o, ids, colors, lists := fixedFixture(nFixed, nActive, P, L)
+	o, colors, lists := fixedFixture(nFixed, nActive, P, L)
 	cross := crossTestOracle{o: o, offset: nFixed}
-	want := bruteForbidden(o, nFixed, ids, colors, lists)
+	want := bruteForbidden(o, nFixed, colors, lists)
 
 	arena := NewArena()
 	got := make([]bool, nActive*L)
+	var ix bucket.Index // one index rebuilt per chunk, as the engine does
 	for lo := 0; lo < nFixed; lo += 37 {
-		hi := min(lo+37, nFixed)
-		fb := NewFixedBucketsIn(arena, P, ids[lo:hi], colors[lo:hi])
-		fb.Forbid(context.Background(), cross, lists, 2, arena, got)
+		ix.Rebuild(colors, nil, lo, min(lo+37, nFixed), 0, P)
+		Forbid(context.Background(), &ix, cross, lists, 2, arena, got)
 	}
 	for s := range want {
 		if got[s] != want[s] {

@@ -33,29 +33,34 @@ type Buckets struct {
 }
 
 // NewBucketsIn builds the inverted index in two counting passes over the
-// lists, Θ(n·L) time and space. The index storage and the counting scratch
-// come from the arena; the index is valid until the arena's next build.
+// lists, Θ(n·L) time and space, the way bucket.Index.Rebuild indexes a
+// color array: Off counts, then serves as the fill cursor, then shifts
+// back into place. The index storage comes from the arena; the index is
+// valid until the arena's next build.
 func NewBucketsIn(a *Arena, lists Lists) *Buckets {
 	n, P := lists.Len(), lists.Palette()
 	b := &a.bk
-	a.cnt = grow.Zeroed(a.cnt, P)
-	cnt := a.cnt
 	b.P = P
+	off := grow.Zeroed(b.Off, P+1)
 	for i := 0; i < n; i++ {
 		for _, c := range lists.List(i) {
-			cnt[c]++
+			off[c+1]++
 		}
 	}
-	b.Off = graph.ExclusiveSumInto(cnt, grow.Slice(b.Off, P+1))
-	b.Vtx = grow.Slice(b.Vtx, int(b.Off[P]))
-	// Reuse the counting pass as the fill cursor.
-	copy(cnt, b.Off[:P])
+	for c := 1; c <= P; c++ {
+		off[c] += off[c-1]
+	}
+	b.Vtx = grow.Slice(b.Vtx, int(off[P]))
 	for i := 0; i < n; i++ {
 		for _, c := range lists.List(i) {
-			b.Vtx[cnt[c]] = int32(i)
-			cnt[c]++
+			b.Vtx[off[c]] = int32(i)
+			off[c]++
 		}
 	}
+	// off[c] now ends bucket c, where bucket c+1 starts.
+	copy(off[1:], off[:P])
+	off[0] = 0
+	b.Off = off
 	// Buckets are ascending by construction (vertices inserted in id order),
 	// so the member at position k of a bucket of size s has s−1−k larger
 	// co-members — the pairs its row will enumerate from that bucket.

@@ -6,16 +6,18 @@ import (
 	"picasso/internal/grow"
 )
 
-// Index is the persisted palette-bucket inverted index over a finished
-// coloring: for every color c, the vertices holding c, in CSR layout (Off
-// has NumColors+1 entries into Vtx, bucket c is Vtx[Off[c]:Off[c+1]]). It is
-// the at-rest twin of the conflict kernel's in-memory bucket structures
-// (backend.Buckets, backend.FixedBuckets): artifacts serialize it next to
-// the coloring so a reloading server answers group queries — and replays a
-// parent grouping into append/refine child jobs — without rebuilding
-// anything. Vertices within a bucket appear in ascending id order
-// (BuildIndex is a counting sort over vertex order), so two indexes over
-// the same coloring are bit-identical.
+// Index is the palette-bucket inverted index color → vertices, in CSR
+// layout (Off has NumColors+1 entries into Vtx, bucket c is
+// Vtx[Off[c]:Off[c+1]]), and the only such index over a color array. It
+// has two lives. Over a finished coloring (BuildIndex) it is persisted:
+// artifacts serialize it next to the coloring so a reloading server
+// answers group queries — and replays a parent grouping into
+// append/refine child jobs — without rebuilding anything. Over a palette
+// window of a partial coloring (Rebuild) it is the streaming engine's
+// fixed-color index: every frozen vertex appears in exactly one bucket,
+// the one of its palette-local color. Vertices within a bucket appear in
+// visiting order (ascending ids for BuildIndex), so two indexes over the
+// same coloring are bit-identical.
 type Index struct {
 	Off []int64
 	Vtx []int32
@@ -34,20 +36,52 @@ func BuildIndex(colors []int32) (*Index, error) {
 			maxC = c
 		}
 	}
-	ix := &Index{Off: make([]int64, maxC+2), Vtx: make([]int32, len(colors))}
-	for _, c := range colors {
-		ix.Off[c+1]++
-	}
-	for c := 1; c < len(ix.Off); c++ {
-		ix.Off[c] += ix.Off[c-1]
-	}
-	cursor := grow.Slice([]int64(nil), int(maxC+1))
-	copy(cursor, ix.Off[:maxC+1])
-	for v, c := range colors {
-		ix.Vtx[cursor[c]] = int32(v)
-		cursor[c]++
-	}
+	ix := &Index{}
+	ix.Rebuild(colors, nil, 0, len(colors), 0, int(maxC)+1)
 	return ix, nil
+}
+
+// Rebuild refills ix as the index of colors over the palette window
+// [base, base+P): bucket c holds every visited vertex v with
+// colors[v] = base+c, in visiting order — each v of ids, or each v of
+// [lo, hi) when ids is nil. Colors outside the window, uncolored (−1)
+// ones included, are skipped. One counting sort reads the color array
+// directly, with no id/color staging and no counting scratch: Off counts,
+// then serves as the fill cursor, then shifts back into place. Θ(visited
+// + P) time; Bytes is the footprint. Storage is ix's own, reused across
+// rebuilds.
+func (ix *Index) Rebuild(colors, ids []int32, lo, hi int, base int32, P int) {
+	n := hi - lo
+	if ids != nil {
+		n = len(ids)
+	}
+	vertex := func(k int) int32 {
+		if ids == nil {
+			return int32(lo + k)
+		}
+		return ids[k]
+	}
+	off := grow.Zeroed(ix.Off, P+1)
+	for k := 0; k < n; k++ {
+		if c := colors[vertex(k)] - base; uint32(c) < uint32(P) {
+			off[c+1]++
+		}
+	}
+	for c := 1; c <= P; c++ {
+		off[c] += off[c-1]
+	}
+	ix.Vtx = grow.Slice(ix.Vtx, int(off[P]))
+	for k := 0; k < n; k++ {
+		v := vertex(k)
+		if c := colors[v] - base; uint32(c) < uint32(P) {
+			ix.Vtx[off[c]] = v
+			off[c]++
+		}
+	}
+	// off[c] now ends bucket c, where bucket c+1 starts.
+	copy(off[1:], off[:P])
+	off[0] = 0
+	ix.Off = off
 }
 
 // NumColors returns the color-id range [0, NumColors) the index covers,
@@ -94,9 +128,10 @@ func (ix *Index) Colors() []int32 {
 	return colors
 }
 
-// Validate checks the CSR invariants a deserialized index must satisfy
-// before anything trusts it: Off starts at 0, is monotone, ends at
-// len(Vtx), and Vtx is a permutation of [0, NumVertices).
+// Validate checks the CSR invariants a deserialized index of a complete
+// coloring must satisfy before anything trusts it: Off starts at 0, is
+// monotone, ends at len(Vtx), and Vtx is a permutation of [0,
+// NumVertices).
 func (ix *Index) Validate() error {
 	if len(ix.Off) == 0 || ix.Off[0] != 0 {
 		return fmt.Errorf("bucket: index offsets must start at 0")
@@ -120,8 +155,8 @@ func (ix *Index) Validate() error {
 	return nil
 }
 
-// Bytes is the index footprint for cache accounting: live entries, not
-// capacity.
+// Bytes is the index footprint for cache and budget accounting: live
+// entries, not the capacity a rebuilt index may keep from a larger use.
 func (ix *Index) Bytes() int64 {
 	return int64(len(ix.Off))*8 + int64(len(ix.Vtx))*4
 }

@@ -3,6 +3,7 @@ package bucket
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -37,6 +38,86 @@ func TestBuildIndexRoundTrip(t *testing.T) {
 			}
 			prev = v
 		}
+	}
+}
+
+// bruteIndex is the index by definition: bucket c lists, in visiting order,
+// the visited vertices colored base+c — each v of ids, or each v of
+// [lo, hi) when ids is nil.
+func bruteIndex(colors, ids []int32, lo, hi int, base int32, P int) *Index {
+	visit := ids
+	if ids == nil {
+		for v := lo; v < hi; v++ {
+			visit = append(visit, int32(v))
+		}
+	}
+	ix := &Index{Off: []int64{0}, Vtx: []int32{}}
+	for c := int32(0); c < int32(P); c++ {
+		for _, v := range visit {
+			if colors[v] == base+c {
+				ix.Vtx = append(ix.Vtx, v)
+			}
+		}
+		ix.Off = append(ix.Off, int64(len(ix.Vtx)))
+	}
+	return ix
+}
+
+// TestRebuildMatchesBruteForce pins the one counting sort behind every
+// color index — the fixed-color pass's windows and BuildIndex's finished
+// colorings — to bruteIndex. The cases cover ranges starting past 0, id
+// subsets in non-ascending order (and an empty one), an empty range,
+// windows above 0, and uncolored and out-of-window colors. Every case
+// rebuilds an index that first held a wider window over every vertex, so
+// stale counts or entries in reused storage show. BuildIndex runs on
+// sparse color ids.
+func TestRebuildMatchesBruteForce(t *testing.T) {
+	const n = 400
+	rng := rand.New(rand.NewSource(5))
+	colors := make([]int32, n)
+	for v := range colors {
+		colors[v] = int32(rng.Intn(61)) - 1 // −1 (uncolored) through 59
+	}
+	subset := []int32{399, 3, 4, 9, 41, 40, 200, 298, 0}
+	var ix Index
+	for _, c := range []struct {
+		ids    []int32
+		lo, hi int
+		base   int32
+		P      int
+	}{
+		{nil, 0, n, 0, 60},
+		{nil, 37, 251, 0, 20},
+		{nil, 100, n, 17, 11},
+		{nil, 50, 50, 3, 4},
+		{subset, 0, 0, 5, 30},
+		{subset, 0, 0, 0, 1},
+		{[]int32{}, 0, 0, 0, 7},
+	} {
+		ix.Rebuild(colors, nil, 0, n, 0, 64)
+		ix.Rebuild(colors, c.ids, c.lo, c.hi, c.base, c.P)
+		want := bruteIndex(colors, c.ids, c.lo, c.hi, c.base, c.P)
+		if !slices.Equal(ix.Off, want.Off) || !slices.Equal(ix.Vtx, want.Vtx) {
+			t.Fatalf("ids %v range [%d, %d) window [%d, +%d): index (Off %v, Vtx %v), want (Off %v, Vtx %v)",
+				c.ids, c.lo, c.hi, c.base, c.P, ix.Off, ix.Vtx, want.Off, want.Vtx)
+		}
+		if ix.NumColors() != c.P || ix.Bytes() != int64(c.P+1)*8+int64(len(want.Vtx))*4 {
+			t.Fatalf("ids %v range [%d, %d) window [%d, +%d): %d colors, %d bytes",
+				c.ids, c.lo, c.hi, c.base, c.P, ix.NumColors(), ix.Bytes())
+		}
+	}
+
+	sparse := make([]int32, 300)
+	for v := range sparse {
+		sparse[v] = int32(rng.Intn(25) * 4) // every color not a multiple of 4 empty
+	}
+	got, err := BuildIndex(sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bruteIndex(sparse, nil, 0, len(sparse), 0, int(slices.Max(sparse))+1)
+	if !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Vtx, want.Vtx) {
+		t.Fatalf("BuildIndex on sparse ids: (Off %v, Vtx %v), want (Off %v, Vtx %v)", got.Off, got.Vtx, want.Off, want.Vtx)
 	}
 }
 

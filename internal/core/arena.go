@@ -11,9 +11,10 @@ import (
 
 // Arena pools every per-iteration buffer of a Picasso run — candidate-list
 // storage, the sampling/taken stamp sets, the active-vertex double buffer,
-// the conflict-vertex worklists, the mutable list slab, Algorithm 2's bucket
-// array, and (through a backend.Arena) the conflict-construction kernel's
-// working set. A run draws all its iteration-scoped storage from the arena,
+// the conflict-vertex worklists, Algorithm 2's live-list signatures and
+// bucket array, the fixed-color pass's mask and color indexes, and
+// (through a backend.Arena) the conflict-construction kernel's working
+// set. A run draws all its iteration-scoped storage from the arena,
 // so iterations ≥ 2 of one run, and every run after the first on a reused
 // arena, recolor with near-zero garbage — the steady state a service worker
 // lives in.
@@ -31,24 +32,24 @@ type Arena struct {
 	conflicted []int32
 	order      []int32
 	assign     []int32
-	ml         mutableLists
+	sig        []uint64 // Algorithm 2's live-list signatures (listcolor.go)
 	bkt        *bucket.Array
 	lc         listColorResult
 	sub        graph.Oracle // retained SubViewer compaction
 
-	// Streaming-only buffers: the fixed-color pass's forbidden mask and
-	// frontier-chunk id/color staging, and the direct-failure worklist for
-	// unconflicted vertices whose whole candidate list was pruned.
+	// Streaming-only buffers: the fixed-color pass's forbidden mask, and
+	// the direct-failure worklist for unconflicted vertices whose whole
+	// candidate list was pruned.
 	forbid       []bool
-	fixedIDs     []int32
-	fixedColors  []int32
 	directFailed []int32
 
-	// Recolor-unit fixed-color indexes (refine.go, engine.go strike): the
-	// frozen frontier, built once per unit, and the unit's own recolored
-	// vertices, rebuilt per iteration.
-	frontier  backend.FixedBuckets
-	recolored backend.FixedBuckets
+	// The fixed-color pass's color indexes, both rebuilt straight from the
+	// color array (engine.go strike and scanFrontier, refine.go
+	// indexFrontier): frontier is a refine round's frozen frontier, built
+	// once per round and held; fixed lives for one pass, over a frontier
+	// chunk or a round's own recolored vertices.
+	frontier bucket.Index
+	fixed    bucket.Index
 
 	// Refinement-only buffers (refine.go): per-round class bookkeeping —
 	// counts/order/remap over the current color ids, per-dense-class sizes —
@@ -124,17 +125,6 @@ func (a *Arena) result(assign []int32) *listColorResult {
 func (a *Arena) forbidBuf(slots int) []bool {
 	a.forbid = grow.Zeroed(a.forbid, slots)
 	return a.forbid
-}
-
-// fixedBufs returns the emptied frontier-chunk staging buffers; callers
-// append ids/colors in lockstep and hand the grown slices back.
-func (a *Arena) fixedBufs() ([]int32, []int32) {
-	return a.fixedIDs[:0], a.fixedColors[:0]
-}
-
-// retainFixed stores the grown staging buffers for the next chunk.
-func (a *Arena) retainFixed(ids, colors []int32) {
-	a.fixedIDs, a.fixedColors = ids, colors
 }
 
 // losersBuf returns the emptied speculative-repair loser worklist; callers

@@ -9,34 +9,33 @@ import (
 )
 
 // colorLists holds the per-vertex candidate color lists of one iteration in
-// flat storage: vertex i owns the L-wide slot flat[i*L : (i+1)*L], its list
-// sorted ascending at the head of it. Colors are palette-local (in [0, P));
-// the iteration's base offset is added only when a color is finalized,
-// implementing the paper's fresh-palette rule (palette of iteration ℓ is
-// {(ℓ−1)P, …, ℓP−1}). It implements backend.Lists, the view the
-// conflict-construction kernel consumes; the kernel's bucket index
+// flat storage: vertex i owns the L-wide slot flat[i*L : (i+1)*L], its
+// live list at the head of it and live[i] long. Colors are palette-local
+// (in [0, P)); the iteration's base offset is added only when a color is
+// finalized, implementing the paper's fresh-palette rule (palette of
+// iteration ℓ is {(ℓ−1)P, …, ℓP−1}). It implements backend.Lists, the view
+// the conflict-construction kernel consumes; the kernel's bucket index
 // supersedes the per-pair intersection test this struct used to carry, so
-// the lists are pure storage. A list holds all L colors until prune strikes
-// some; live then holds every list's length.
+// the lists are pure storage. assignRandomLists leaves every list whole
+// and ascending; the fixed-color pass strikes the colors a frozen neighbor
+// holds (prune), and Algorithm 2 then strikes, in the same slots, the
+// colors conflict neighbors take (remove).
 type colorLists struct {
 	n, P, L int
 	flat    []int32
-	live    []int32 // per-vertex list length after prune; empty = every list is whole
+	live    []int32 // per-vertex live list length
 }
 
 // Bytes returns the memory footprint of the list storage: the L-wide slots,
-// not the (possibly arena-pooled) capacity, and not shrunk by prune — this
-// is the figure device builds ship and trackers charge.
+// not the (possibly arena-pooled) capacity, and not shrunk by strikes —
+// this is the figure device builds ship and trackers charge.
 func (cl *colorLists) Bytes() int64 {
 	return int64(len(cl.flat)) * 4
 }
 
-// list returns vertex i's sorted candidate colors.
+// list returns vertex i's live candidate colors.
 func (cl *colorLists) list(i int) []int32 {
 	lo := i * cl.L
-	if len(cl.live) == 0 {
-		return cl.flat[lo : lo+cl.L]
-	}
 	return cl.flat[lo : lo+int(cl.live[i])]
 }
 
@@ -46,7 +45,6 @@ func (cl *colorLists) list(i int) []int32 {
 // only them. A list struck to nothing is empty. The slot storage, ListSize
 // and Bytes do not change.
 func (cl *colorLists) prune(mask []bool) {
-	cl.live = grow.Slice(cl.live, cl.n)
 	for i := 0; i < cl.n; i++ {
 		lo := i * cl.L
 		k := lo
@@ -58,6 +56,22 @@ func (cl *colorLists) prune(mask []bool) {
 		}
 		cl.live[i] = int32(k - lo)
 	}
+}
+
+// remove strikes color c from vertex v's live list if present, by
+// swap-with-last (Algorithm 2 needs no order once the build has run), and
+// reports whether it did.
+func (cl *colorLists) remove(v, c int32) bool {
+	lst := cl.list(int(v))
+	for i, x := range lst {
+		if x == c {
+			last := len(lst) - 1
+			lst[i] = lst[last]
+			cl.live[v] = int32(last)
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the vertex count (backend.Lists).
@@ -86,9 +100,10 @@ func assignRandomLists(n, P, L int, rng *rand.Rand, ar *Arena) *colorLists {
 	cl := &ar.cl
 	cl.n, cl.P, cl.L = n, P, L
 	cl.flat = grow.Slice(cl.flat, n*L)
-	cl.live = cl.live[:0]
+	cl.live = grow.Slice(cl.live, n)
 	chosen := &ar.stamps
 	for i := 0; i < n; i++ {
+		cl.live[i] = int32(L)
 		lst := cl.list(i)
 		if L == P {
 			for c := 0; c < P; c++ {

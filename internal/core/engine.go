@@ -409,12 +409,12 @@ func (e *engine) strike(cl *colorLists) (int64, error) {
 	var tested int64
 	var err error
 	if e.unitIDs != nil {
-		tested = e.ar.frontier.Forbid(e.ctx, cross, cl, e.opts.Workers, e.ar.be, mask)
+		tested = backend.Forbid(e.ctx, &e.ar.frontier, cross, cl, e.opts.Workers, e.ar.be, mask)
 		if e.iter > 1 { // the first iteration has recolored nothing yet
-			own := &e.ar.recolored
-			own.IndexColors(int(e.refineCeil), e.colors, e.unitIDs)
+			own := &e.ar.fixed
+			own.Rebuild(e.colors, e.unitIDs, 0, 0, 0, int(e.refineCeil))
 			release := e.tr.Scoped(own.Bytes())
-			tested += own.Forbid(e.ctx, cross, cl, e.opts.Workers, e.ar.be, mask)
+			tested += backend.Forbid(e.ctx, own, cross, cl, e.opts.Workers, e.ar.be, mask)
 			release()
 		}
 		err = backend.Cancelled(e.ctx)
@@ -467,36 +467,29 @@ func (e *engine) edgeView() edgeOracle {
 // already holds inside the palette window [base, base+P) (L and P from
 // lists; the color is compared palette-local, c − base). Uncolored
 // vertices (−1) fall below every window and are skipped. The range is
-// indexed chunk by chunk (chunk floored at 4096), so the scan's live
-// memory stays O(chunk) however much of the graph is already colored;
-// each chunk's index and staging are charged to the tracker while they
-// live. The price is a linear window-filter scan of the range per call
-// (two compares per frozen vertex). A refine round amortizes that scan
-// into one index held for the round (indexFrontier), because its window
-// never moves and it runs between streamed units. Shards and repair units
-// keep the chunks: an index over all frontier colors held inside a stream
-// would add O(n) live bytes to the run peak that nextShard sizes the next
-// shard from — exactly what streaming exists to avoid. Returns the cross
-// adjacency tests spent.
+// indexed chunk by chunk (chunk floored at 4096), straight from the color
+// array, so the scan's live memory stays O(chunk) however much of the
+// graph is already colored; each chunk's index is charged to the tracker
+// while it lives. The price is two linear window-filter reads of the range
+// per call (two compares per frozen vertex each). A refine round amortizes
+// them into one index held for the round (indexFrontier), because its
+// window never moves and it runs between streamed units. Shards and repair
+// units keep the chunks: an index over all frontier colors held inside a
+// stream would add O(n) live bytes to the run peak that nextShard sizes
+// the next shard from — exactly what streaming exists to avoid. Returns
+// the cross adjacency tests spent.
 func (e *engine) scanFrontier(cross crossOracle, lists backend.Lists, lo, hi, chunk int, base int32, mask []bool) (int64, error) {
 	P := lists.Palette()
 	chunk = max(chunk, 4096)
+	ix := &e.ar.fixed
 	var tested int64
 	for ; lo < hi; lo += chunk {
-		ids, cols := e.ar.fixedBufs()
-		for v, end := lo, min(lo+chunk, hi); v < end; v++ {
-			if c := e.colors[v] - base; c >= 0 && c < int32(P) {
-				ids = append(ids, int32(v))
-				cols = append(cols, c)
-			}
-		}
-		e.ar.retainFixed(ids, cols)
-		if len(ids) == 0 {
+		ix.Rebuild(e.colors, nil, lo, min(lo+chunk, hi), base, P)
+		if ix.NumVertices() == 0 {
 			continue
 		}
-		fb := backend.NewFixedBucketsIn(e.ar.be, P, ids, cols)
-		release := e.tr.Scoped(fb.Bytes() + int64(len(ids))*8)
-		tested += fb.Forbid(e.ctx, cross, lists, e.opts.Workers, e.ar.be, mask)
+		release := e.tr.Scoped(ix.Bytes())
+		tested += backend.Forbid(e.ctx, ix, cross, lists, e.opts.Workers, e.ar.be, mask)
 		release()
 		if err := backend.Cancelled(e.ctx); err != nil {
 			return tested, err

@@ -180,7 +180,7 @@ func unassigned(n int) []int32 {
 }
 
 // colorStageInput is one generated color-stage input: n vertices drawing L
-// of P colors (whole, never pruned), the conflict graph the sequential
+// of P colors (whole, never pruned or struck), the conflict graph the sequential
 // builder finds for them over G(n, density/255), the conflict vertices in
 // ascending order as the engine passes them, and the fixed-color pass's
 // mask. mask%3 selects no mask, a random one (each slot with probability
@@ -206,7 +206,7 @@ func genColorStage(t *testing.T, n, P, L int, density, mask uint8, equitable boo
 	}
 	gen := rand.New(rand.NewSource(seed))
 	cl := assignRandomLists(n, P, L, gen, NewArena())
-	in.whole = &colorLists{n: n, P: P, L: L, flat: slices.Clone(cl.flat)}
+	in.whole = cl.clone()
 	bld, err := backend.New("sequential", backend.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -246,13 +246,19 @@ func genColorStage(t *testing.T, n, P, L int, density, mask uint8, equitable boo
 
 // struck returns the lists as the engine hands them to the color stage:
 // a copy of the whole lists with the mask's slots pruned (no prune without
-// a mask, as in a one-shot run).
+// a mask, as in a one-shot run). The stage strikes its copy in place, so
+// the whole lists the references read stay whole.
 func (in *colorStageInput) struck() *colorLists {
-	cl := &colorLists{n: in.whole.n, P: in.whole.P, L: in.whole.L, flat: slices.Clone(in.whole.flat)}
+	cl := in.whole.clone()
 	if in.forbidden != nil {
 		cl.prune(in.forbidden)
 	}
 	return cl
+}
+
+// clone copies the lists, slots and live lengths, into storage of their own.
+func (cl *colorLists) clone() *colorLists {
+	return &colorLists{n: cl.n, P: cl.P, L: cl.L, flat: slices.Clone(cl.flat), live: slices.Clone(cl.live)}
 }
 
 func (in *colorStageInput) balance() *classBalance {

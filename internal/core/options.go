@@ -63,7 +63,10 @@
 // frontier, then repairs cross-shard collisions canonically, each lane on
 // its own resources (arena, conflict builder, child memtrack of the run's
 // tracker — whose peak covers the lanes combined). The result is proper and
-// deterministic per seed, not bit-identical to one-shard groups. When the
+// deterministic per seed, not bit-identical to one-shard groups; the one
+// exception is a budgeted stream whose lanes' interleaved peak straddles
+// the budget, which can vary between reruns, because lane timing decides
+// whether a group crossed the budget and so halved the next shard. When the
 // budget cannot hold the combined footprints the governor holds the run to
 // one lane, which is the plain stream bit for bit; either way every
 // published checkpoint is resumable and cancellation lands at the same
@@ -240,7 +243,10 @@ type Options struct {
 	// scan and recolored against the frozen remainder by the refinement
 	// machinery. The result is proper and deterministic per seed, but not
 	// bit-identical to the plain stream (later lanes cannot see earlier
-	// lanes' colors while coloring). Checkpoints land only at fully
+	// lanes' colors while coloring). Under MemoryBudgetBytes, a run whose
+	// lanes' interleaved peak straddles the budget can vary between
+	// reruns: lane timing decides whether a group crossed the budget, and
+	// a crossing halves the next shard. Checkpoints land only at fully
 	// repaired group boundaries. 0 and 1 disable. The budget governor
 	// reduces the lane count (down to one, the plain stream) when
 	// MemoryBudgetBytes cannot fit that many worst-case shards. Requires an

@@ -9,7 +9,7 @@
 // their vertices back through the staged engine with the palette pinned to
 // the surviving colors [0, ceiling). The rest of the coloring is a frozen
 // frontier whose colors are struck from the lists before each conflict
-// build (backend.FixedBuckets + CrossOracle). A round indexes that
+// build (bucket.Index + backend.Forbid). A round indexes that
 // frontier once and holds the index for the round (4 bytes per indexed
 // vertex plus 8 per color) wherever the budget model fits it beside the
 // round — always without a budget — and otherwise scans the frontier in
@@ -327,9 +327,9 @@ func (e *engine) recolor(ids []int32, ceil int32, key int, hold bool) error {
 // index serves every iteration. Its bytes (4 per indexed vertex plus 8 per
 // color) are charged until the returned release runs.
 func (e *engine) indexFrontier() func() {
-	fb := &e.ar.frontier
-	fb.IndexColors(int(e.refineCeil), e.colors[:e.fixedEnd], nil)
-	return e.tr.Scoped(fb.Bytes())
+	ix := &e.ar.frontier
+	ix.Rebuild(e.colors, nil, 0, e.fixedEnd, 0, int(e.refineCeil))
+	return e.tr.Scoped(ix.Bytes())
 }
 
 // renumberBySize remaps the engine's coloring to dense ids [0, C) ordered

@@ -16,8 +16,12 @@
 // frozen remainder — stuck losers take fresh singletons above the ceiling,
 // in ascending order. The coloring is proper and deterministic per seed but
 // not bit-identical to one-shard groups: later lanes could not see earlier
-// lanes' colors while speculating. Checkpoints land only at fully repaired
-// group boundaries.
+// lanes' colors while speculating. The exception is a budgeted stream whose
+// lanes' interleaved peak straddles the budget: whether a group crossed
+// the budget, and so whether nextShard halves the next shard, depends on
+// how the lanes' charges overlapped in time, so such a run can vary
+// between reruns. Checkpoints land only at fully repaired group
+// boundaries.
 package core
 
 import (

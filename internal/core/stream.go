@@ -130,12 +130,17 @@ func streamRun(ctx context.Context, o graph.Oracle, opts *Options) (*Result, err
 // subgraph (every bucket-sharing pair an edge). Deliberately worst-case:
 // the initial shard must respect the budget before anything has been
 // measured; nextShard replaces the estimate with measurement afterwards.
+// The fixed-color pass's share (12 bytes per vertex beside the mask) is
+// above what a frontier chunk's index charges (4 per indexed vertex plus
+// 8 per color); the model sizes every budgeted stream's first shard, so
+// lowering it moves streamed colorings and belongs with the change that
+// charges the color stage's working set.
 func shardFootprint(opts *Options, o graph.Oracle, n, B int) int64 {
 	P := opts.paletteFor(B)
 	L := opts.listSizeFor(B, P)
 	lists := int64(4 * L)      // candidate lists
 	buckets := int64(4*L + 24) // inverted index Vtx + RowWeight (+Off share)
-	mask := int64(L + 12)      // forbidden mask + fixed-chunk staging
+	mask := int64(L + 12)      // forbidden mask + frontier chunk index
 	var oracle int64           // compacted sub-view vertex data
 	if ds, ok := o.(backend.DeviceSizer); ok && n > 0 {
 		oracle = ds.DeviceBytes() / int64(n)

@@ -27,18 +27,6 @@ func (c *COO) Bytes() int64 {
 	return int64(len(c.U))*4 + int64(len(c.V))*4
 }
 
-// ExclusiveSumInto scans counts into out, which must have len(counts)+1
-// entries: out[i] = Σ_{j<i} counts[j], with out[len(counts)] = total. It
-// mirrors the exclusive_sum step of Algorithm 3 and lays out the bucket
-// index's offsets.
-func ExclusiveSumInto(counts, out []int64) []int64 {
-	out[0] = 0
-	for i, c := range counts {
-		out[i+1] = out[i] + c
-	}
-	return out
-}
-
 // RowLanesToCSRInto converts an edge list held in lanes to CSR in g,
 // reusing g's Offsets and Adj backing arrays when they are large enough
 // (nil allocates a fresh CSR), and sorts nothing. It is the host-side

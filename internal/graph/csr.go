@@ -89,6 +89,9 @@ func (g *CSR) Validate() error {
 		if g.Offsets[u] > g.Offsets[u+1] {
 			return fmt.Errorf("graph: offsets decrease at %d", u)
 		}
+		if g.Offsets[u+1] > int64(len(g.Adj)) {
+			return fmt.Errorf("graph: offsets pass the %d adjacency entries at %d", len(g.Adj), u+1)
+		}
 		adj := g.Neighbors(u)
 		for i, v := range adj {
 			if v < 0 || int(v) >= g.N {

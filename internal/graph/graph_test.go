@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func path5() *CSR {
 	g, err := FromEdges(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
@@ -47,6 +44,26 @@ func TestFromEdgesRejectsBadInput(t *testing.T) {
 	}
 	if _, err := FromEdges(3, [][2]int32{{0, 1}, {1, 0}}); err == nil {
 		t.Error("duplicate edge accepted")
+	}
+}
+
+// TestValidateRejectsCorruptCSRs feeds Validate the corruptions a hostile
+// .pic graph section can carry: each must be an error, never a panic. The
+// inner offset past the adjacency, with both endpoints right, is the one
+// that used to slice out of range.
+func TestValidateRejectsCorruptCSRs(t *testing.T) {
+	for i, g := range []*CSR{
+		{N: 2, Offsets: []int64{0, 1}, Adj: []int32{1}},             // one offset short
+		{N: 2, Offsets: []int64{1, 1, 2}, Adj: []int32{1, 0}},       // does not start at 0
+		{N: 2, Offsets: []int64{0, 9, 2}, Adj: []int32{1, 0}},       // inner offset past Adj
+		{N: 3, Offsets: []int64{0, 2, 1, 3}, Adj: []int32{1, 2, 0}}, // decreasing
+		{N: 2, Offsets: []int64{0, 1, 2}, Adj: []int32{5, 0}},       // out-of-range neighbor
+		{N: 2, Offsets: []int64{0, 1, 2}, Adj: []int32{0, 0}},       // self loop
+		{N: 3, Offsets: []int64{0, 1, 1, 1}, Adj: []int32{1}},       // asymmetric
+	} {
+		if err := g.Validate(); err == nil {
+			t.Fatalf("corrupt CSR %d validated", i)
+		}
 	}
 }
 
@@ -156,43 +173,6 @@ func TestDegreesMatchMaterialized(t *testing.T) {
 		if deg[u] != g.Degree(u) {
 			t.Fatalf("degree mismatch at %d: %d vs %d", u, deg[u], g.Degree(u))
 		}
-	}
-}
-
-func TestExclusiveSum(t *testing.T) {
-	out := ExclusiveSumInto([]int64{3, 0, 2, 5}, make([]int64, 5))
-	want := []int64{0, 3, 3, 5, 10}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("ExclusiveSumInto = %v", out)
-		}
-	}
-	if got := ExclusiveSumInto(nil, []int64{7}); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("empty scan = %v", got)
-	}
-}
-
-func TestExclusiveSumQuick(t *testing.T) {
-	f := func(raw []uint16) bool {
-		counts := make([]int64, len(raw))
-		var total int64
-		for i, r := range raw {
-			counts[i] = int64(r)
-			total += int64(r)
-		}
-		out := ExclusiveSumInto(counts, make([]int64, len(counts)+1))
-		if out[len(out)-1] != total {
-			return false
-		}
-		for i := range counts {
-			if out[i+1]-out[i] != counts[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

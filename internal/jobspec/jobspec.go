@@ -109,8 +109,11 @@ type Spec struct {
 	Budget string `json:"budget,omitempty"`
 	// Speculate colors this many streamed shards concurrently against the
 	// same frozen frontier and repairs cross-shard collisions afterwards
-	// (proper and deterministic per seed, not bit-identical). Values
-	// below 2 mean off. Implies Stream.
+	// (proper and deterministic per seed, not bit-identical — except that
+	// a budgeted run whose lanes' interleaved peak straddles the budget
+	// can vary between reruns, as lane timing decides whether a group
+	// crossed it and so halved the next shard). Values below 2 mean off.
+	// Implies Stream.
 	Speculate int `json:"speculate,omitempty"`
 	// Portfolio, when non-nil, races entrant configurations of the job —
 	// varying seed, strategy, shard size, and speculative schedule — stops
